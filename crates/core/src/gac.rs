@@ -1,5 +1,5 @@
-//! The Global Admission Controller (Section 3.1 of the paper), hardened
-//! against partial failure.
+//! The Global Admission Controller's vocabulary (Section 3.1 of the
+//! paper).
 //!
 //! A server consists of many CMP nodes; the GAC receives user submissions
 //! and probes each node's Local Admission Controller for one that can
@@ -7,25 +7,14 @@
 //! (in a full deployment the GAC would then renegotiate the target with the
 //! user — out of this paper's scope, as it is of ours).
 //!
-//! Beyond the paper's fault-free model, this GAC treats probes as
-//! *fallible*: a probe can be lost in transit ([`ProbeOutcome::Lost`]), in
-//! which case it is retried with deterministic exponential backoff
-//! ([`GacConfig::backoff_delay`]). Consecutive losses drive a node through
-//! the health state machine Healthy → Suspect → Dead ([`NodeHealth`]);
-//! dead nodes are excluded from probing and their reservations are
-//! evacuated to survivors ([`GlobalAdmissionController::inject`]). Every
-//! loss, retry, health transition, migration, and revocation is emitted as
-//! a typed [`cmpqos_obs::Event`], so a recorded run fully reconstructs the
-//! chaos.
-
-use crate::lac::{Decision, Lac, LacConfig, LacState, RejectReason, Reservation, RevocationAction};
-use crate::modes::ExecutionMode;
-use crate::request::AdmissionRequest;
-use crate::target::ResourceRequest;
-use cmpqos_faults::{Fault, Injection};
-use cmpqos_obs::{Event, NullRecorder, Recorder};
-use cmpqos_types::{Cycles, JobId, NodeId, Ways};
-use std::fmt;
+//! There is one GAC: [`NetGac`](crate::protocol::NetGac), which talks to
+//! its LACs over a message network and is driven, together with the
+//! endpoints and the network, by a [`Cluster`](crate::protocol::Cluster).
+//! An in-process server is the degenerate case of a lossless,
+//! zero-latency link ([`Cluster::in_process`](crate::protocol::Cluster::in_process)).
+//! This module holds the types that describe the GAC's view of its nodes:
+//! the probe order, the failure detector's health verdict, and the
+//! membership lifecycle.
 
 /// Order in which nodes are probed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,40 +23,27 @@ pub enum ProbePolicy {
     /// Probe nodes in index order (first fit).
     #[default]
     FirstFit,
-    /// Probe the node with the fewest live reservations first (a simple
+    /// Probe the node with the fewest live placements first (a simple
     /// load-balancing heuristic).
     LeastLoaded,
 }
 
-/// Why a [`GlobalAdmissionController`] could not be constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GacError {
-    /// A server needs at least one node.
-    NoNodes,
-}
-
-impl fmt::Display for GacError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GacError::NoNodes => f.write_str("a server needs at least one node"),
-        }
-    }
-}
-
-impl std::error::Error for GacError {}
-
-/// A node's health as tracked by the GAC's probe loop.
+/// A node's health as tracked by the GAC's failure detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeHealth {
-    /// Probes are answered; the node is probed first.
+    /// Conversations complete; the node takes placements.
     Healthy,
-    /// Probes were lost recently ([`GacConfig::suspect_after`] consecutive
-    /// losses); the node is probed after all healthy nodes.
+    /// Conversations were lost recently
+    /// ([`NetGacConfig::suspect_after`](crate::NetGacConfig::suspect_after)
+    /// consecutive losses); placements pause, nothing is evacuated.
     Suspect,
-    /// The node failed ([`GacConfig::dead_after`] consecutive losses *and*
-    /// [`GacConfig::dead_timeout`] of silence, or an explicit node fault);
-    /// it is never probed and its reservations were evacuated.
+    /// The node failed
+    /// ([`NetGacConfig::dead_after`](crate::NetGacConfig::dead_after)
+    /// consecutive losses *and*
+    /// [`NetGacConfig::dead_timeout`](crate::NetGacConfig::dead_timeout) of
+    /// silence, or an explicit node fault); it is never probed and its
+    /// placements were evacuated.
     Dead,
 }
 
@@ -100,1952 +76,4 @@ pub enum MemberState {
     Draining,
     /// Departed for good; skipped by every probe, heartbeat, and sweep.
     Left,
-}
-
-/// One probe's outcome, as seen by the GAC's retry loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProbeOutcome {
-    /// The LAC accepted; resources are reserved from `start`.
-    Accepted {
-        /// Reserved start cycle.
-        start: Cycles,
-    },
-    /// The probe was delivered but the LAC rejected the job.
-    Rejected(RejectReason),
-    /// Every retry was lost in transit; the node gave no answer.
-    Lost,
-    /// The node is (or became) dead; it cannot be probed.
-    NodeDead,
-}
-
-/// Retry, backoff, and health-tracking parameters.
-///
-/// Construct with [`GacConfig::default`] or [`GacConfig::builder`]; the
-/// struct is `#[non_exhaustive]`, so fields may be added without breaking
-/// downstream crates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[non_exhaustive]
-pub struct GacConfig {
-    /// Retries after a lost probe, per node per submission.
-    pub max_retries: u32,
-    /// Delay before the first retry; subsequent retries multiply it by
-    /// [`GacConfig::backoff_factor`].
-    pub backoff_base: Cycles,
-    /// Exponential backoff multiplier.
-    pub backoff_factor: u32,
-    /// Consecutive losses that demote a node to [`NodeHealth::Suspect`].
-    pub suspect_after: u32,
-    /// Consecutive losses required (together with
-    /// [`GacConfig::dead_timeout`]) to demote a node to
-    /// [`NodeHealth::Dead`].
-    pub dead_after: u32,
-    /// How long a node must have gone without answering a single probe
-    /// before loss-driven death is allowed. Losses alone — however many —
-    /// only demote to Suspect until this timeout expires: a partitioned
-    /// node is *unreachable, not dead*, and evacuating its (still honored)
-    /// reservations would double-book them. `Cycles::ZERO` restores the
-    /// legacy pure-loss-count behavior.
-    pub dead_timeout: Cycles,
-    /// Lifetime of a placement lease. Each heartbeat
-    /// ([`GlobalAdmissionController::heartbeat_all`]) renews the node's
-    /// leases to `heartbeat time + lease_ttl`; a lease that then goes
-    /// unrenewed for `lease_ttl + dead_timeout` (the same
-    /// unreachable-vs-dead grace as the health machine) expires and its
-    /// reservation is revoked and re-placed like an evacuation.
-    /// `Cycles::ZERO` (the default) disables leasing entirely.
-    pub lease_ttl: Cycles,
-}
-
-impl Default for GacConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff_base: Cycles::new(1_000),
-            backoff_factor: 2,
-            suspect_after: 2,
-            dead_after: 4,
-            dead_timeout: Cycles::new(30_000),
-            lease_ttl: Cycles::ZERO,
-        }
-    }
-}
-
-impl GacConfig {
-    /// A fluent builder starting from the defaults.
-    #[must_use]
-    pub fn builder() -> GacConfigBuilder {
-        GacConfigBuilder {
-            config: GacConfig::default(),
-        }
-    }
-
-    /// The deterministic backoff delay before retry number `attempt`
-    /// (0-based): `backoff_base · backoff_factor^attempt`, saturating.
-    ///
-    /// Computed in closed form (`saturating_pow`), so huge attempt counts
-    /// cap at `u64::MAX` in O(1) instead of iterating `attempt` times.
-    #[must_use]
-    pub fn backoff_delay(&self, attempt: u32) -> Cycles {
-        let factor = u64::from(self.backoff_factor).saturating_pow(attempt);
-        Cycles::new(self.backoff_base.get().saturating_mul(factor))
-    }
-}
-
-/// Fluent builder for [`GacConfig`].
-#[derive(Debug, Clone)]
-pub struct GacConfigBuilder {
-    config: GacConfig,
-}
-
-impl GacConfigBuilder {
-    /// Sets the per-node retry budget.
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.config.max_retries = retries;
-        self
-    }
-
-    /// Sets the first retry delay.
-    #[must_use]
-    pub fn backoff_base(mut self, base: Cycles) -> Self {
-        self.config.backoff_base = base;
-        self
-    }
-
-    /// Sets the exponential backoff multiplier.
-    #[must_use]
-    pub fn backoff_factor(mut self, factor: u32) -> Self {
-        self.config.backoff_factor = factor;
-        self
-    }
-
-    /// Sets the Suspect demotion threshold.
-    #[must_use]
-    pub fn suspect_after(mut self, losses: u32) -> Self {
-        self.config.suspect_after = losses;
-        self
-    }
-
-    /// Sets the Dead demotion threshold.
-    #[must_use]
-    pub fn dead_after(mut self, losses: u32) -> Self {
-        self.config.dead_after = losses;
-        self
-    }
-
-    /// Sets the unreachable-before-dead timeout (`Cycles::ZERO` restores
-    /// the legacy pure-loss-count behavior).
-    #[must_use]
-    pub fn dead_timeout(mut self, timeout: Cycles) -> Self {
-        self.config.dead_timeout = timeout;
-        self
-    }
-
-    /// Sets the placement-lease lifetime (`Cycles::ZERO` disables leasing).
-    #[must_use]
-    pub fn lease_ttl(mut self, ttl: Cycles) -> Self {
-        self.config.lease_ttl = ttl;
-        self
-    }
-
-    /// Finishes the configuration.
-    #[must_use]
-    pub fn build(self) -> GacConfig {
-        self.config
-    }
-}
-
-/// What one fault injection did to the admitted-job population.
-///
-/// Returned by [`GlobalAdmissionController::inject`] so callers can
-/// account for every affected reservation without parsing the event
-/// stream: an admitted job only ever completes, migrates, downgrades, or
-/// is revoked **with a reason** — never silently lost.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultReport {
-    /// Elastic jobs that absorbed the loss by giving up ways.
-    pub downgraded: Vec<(JobId, Ways)>,
-    /// Jobs re-placed on a surviving node: `(job, from, to)`.
-    pub migrated: Vec<(JobId, NodeId, NodeId)>,
-    /// Jobs whose reservation was revoked (no survivor could take them).
-    pub revoked: Vec<JobId>,
-}
-
-impl FaultReport {
-    /// Whether the fault affected no reservation at all.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.downgraded.is_empty() && self.migrated.is_empty() && self.revoked.is_empty()
-    }
-
-    /// Folds another report into this one.
-    pub fn merge(&mut self, other: FaultReport) {
-        self.downgraded.extend(other.downgraded);
-        self.migrated.extend(other.migrated);
-        self.revoked.extend(other.revoked);
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct NodeState {
-    lac: Lac,
-    health: NodeHealth,
-    consecutive_losses: u32,
-    pending_losses: u32,
-    last_heard: Cycles,
-    partitioned: bool,
-    member: MemberState,
-    lease_frozen: bool,
-}
-
-/// A serializable snapshot of one node as the GAC sees it.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct NodeSnapshot {
-    /// The node's LAC state.
-    pub lac: LacState,
-    /// The node's health.
-    pub health: NodeHealth,
-    /// Consecutive lost probes driving the health state machine.
-    pub consecutive_losses: u32,
-    /// Injected probe losses not yet consumed.
-    pub pending_losses: u32,
-    /// When the node last answered a probe.
-    pub last_heard: Cycles,
-    /// Whether the GAC ↔ node link is currently severed.
-    pub partitioned: bool,
-    /// The node's membership lifecycle state (defaults to `Live` when
-    /// deserializing pre-membership journals).
-    pub member: MemberState,
-    /// Whether lease renewals to this node are suppressed (the
-    /// `LeaseFreeze` fault; heartbeats still count as proof of life).
-    pub lease_frozen: bool,
-}
-
-/// A complete, serializable snapshot of a [`GlobalAdmissionController`].
-///
-/// Produced by [`GlobalAdmissionController::snapshot`] and consumed by
-/// [`GlobalAdmissionController::restore`]; `cmpqos-recovery` embeds one
-/// in each journal compaction record. Restoring yields a controller whose
-/// every subsequent decision matches the original's.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct GacState {
-    /// Per-node LAC states and health, in node order.
-    pub nodes: Vec<NodeSnapshot>,
-    /// The probe policy.
-    pub policy: ProbePolicy,
-    /// Retry/backoff/health configuration.
-    pub config: GacConfig,
-    /// Total submissions seen.
-    pub submissions: u64,
-    /// The placement table (admitted, not yet completed).
-    pub placements: Vec<(JobId, NodeId)>,
-    /// Per-job lease: the placement node and the expiry cycle (empty when
-    /// leasing is disabled; defaults to empty when deserializing
-    /// pre-membership journals).
-    pub leases: Vec<(JobId, NodeId, Cycles)>,
-    /// The LAC configuration nodes were built with, so joined nodes get
-    /// identical capacity (defaults for pre-membership journals).
-    pub lac_config: LacConfig,
-    /// The GAC's clock.
-    pub now: Cycles,
-}
-
-/// The server-level admission controller over a set of per-node LACs.
-///
-/// # Examples
-///
-/// ```
-/// use cmpqos_core::gac::{GlobalAdmissionController, ProbePolicy};
-/// use cmpqos_core::{ExecutionMode, LacConfig, ResourceRequest};
-/// use cmpqos_types::{Cycles, JobId};
-///
-/// let mut gac = GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-/// let (node, decision) = gac.submit(
-///     JobId::new(0),
-///     ExecutionMode::Strict,
-///     ResourceRequest::paper_job(),
-///     Cycles::new(100),
-///     Some(Cycles::new(1_000)),
-/// );
-/// assert!(decision.is_accepted());
-/// assert_eq!(node, Some(cmpqos_types::NodeId::new(0)));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GlobalAdmissionController {
-    nodes: Vec<NodeState>,
-    policy: ProbePolicy,
-    config: GacConfig,
-    submissions: u64,
-    placements: Vec<(JobId, NodeId)>,
-    leases: Vec<(JobId, NodeId, Cycles)>,
-    lac_config: LacConfig,
-    now: Cycles,
-}
-
-impl GlobalAdmissionController {
-    /// Creates a GAC over `nodes` identical CMP nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GacError::NoNodes`] when `nodes` is zero.
-    pub fn try_new(nodes: usize, config: LacConfig, policy: ProbePolicy) -> Result<Self, GacError> {
-        if nodes == 0 {
-            return Err(GacError::NoNodes);
-        }
-        Ok(Self {
-            nodes: (0..nodes)
-                .map(|_| NodeState {
-                    lac: Lac::new(config),
-                    health: NodeHealth::Healthy,
-                    consecutive_losses: 0,
-                    pending_losses: 0,
-                    last_heard: Cycles::ZERO,
-                    partitioned: false,
-                    member: MemberState::Live,
-                    lease_frozen: false,
-                })
-                .collect(),
-            policy,
-            config: GacConfig::default(),
-            submissions: 0,
-            placements: Vec::new(),
-            leases: Vec::new(),
-            lac_config: config,
-            now: Cycles::ZERO,
-        })
-    }
-
-    /// Creates a GAC over `nodes` identical CMP nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero; use [`GlobalAdmissionController::try_new`]
-    /// to handle that case.
-    #[must_use]
-    pub fn new(nodes: usize, config: LacConfig, policy: ProbePolicy) -> Self {
-        match Self::try_new(nodes, config, policy) {
-            Ok(gac) => gac,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Replaces the retry/backoff/health configuration.
-    #[must_use]
-    pub fn with_gac_config(mut self, config: GacConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The retry/backoff/health configuration.
-    #[must_use]
-    pub fn gac_config(&self) -> GacConfig {
-        self.config
-    }
-
-    /// Captures the controller's complete state for journaling.
-    #[must_use]
-    pub fn snapshot(&self) -> GacState {
-        GacState {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeSnapshot {
-                    lac: n.lac.snapshot(),
-                    health: n.health,
-                    consecutive_losses: n.consecutive_losses,
-                    pending_losses: n.pending_losses,
-                    last_heard: n.last_heard,
-                    partitioned: n.partitioned,
-                    member: n.member,
-                    lease_frozen: n.lease_frozen,
-                })
-                .collect(),
-            policy: self.policy,
-            config: self.config,
-            submissions: self.submissions,
-            placements: self.placements.clone(),
-            leases: self.leases.clone(),
-            lac_config: self.lac_config,
-            now: self.now,
-        }
-    }
-
-    /// Rebuilds a controller from a [`GlobalAdmissionController::snapshot`].
-    /// The result is indistinguishable from the controller the snapshot was
-    /// taken of.
-    #[must_use]
-    pub fn restore(state: GacState) -> Self {
-        Self {
-            nodes: state
-                .nodes
-                .into_iter()
-                .map(|n| NodeState {
-                    lac: Lac::restore(n.lac),
-                    health: n.health,
-                    consecutive_losses: n.consecutive_losses,
-                    pending_losses: n.pending_losses,
-                    last_heard: n.last_heard,
-                    partitioned: n.partitioned,
-                    member: n.member,
-                    lease_frozen: n.lease_frozen,
-                })
-                .collect(),
-            policy: state.policy,
-            config: state.config,
-            submissions: state.submissions,
-            placements: state.placements,
-            leases: state.leases,
-            lac_config: state.lac_config,
-            now: state.now,
-        }
-    }
-
-    /// Size of the membership table — every node ever admitted, in any
-    /// state (the table is append-only, so this never shrinks).
-    #[must_use]
-    pub fn nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of nodes still probed: `Live` members that are not dead.
-    /// Draining and departed nodes no longer take placements, so they do
-    /// not count even while their link is healthy.
-    #[must_use]
-    pub fn live_nodes(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.member == MemberState::Live && n.health != NodeHealth::Dead)
-            .count()
-    }
-
-    /// One node's membership lifecycle state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn member_state(&self, node: NodeId) -> MemberState {
-        self.nodes[node.as_usize()].member
-    }
-
-    /// The lease table: each placed job's node and current expiry cycle.
-    /// Empty when leasing is disabled ([`GacConfig::lease_ttl`] of zero).
-    #[must_use]
-    pub fn leases(&self) -> &[(JobId, NodeId, Cycles)] {
-        &self.leases
-    }
-
-    /// Access to one node's LAC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn lac(&self, node: NodeId) -> &Lac {
-        &self.nodes[node.as_usize()].lac
-    }
-
-    /// One node's health.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[must_use]
-    pub fn node_health(&self, node: NodeId) -> NodeHealth {
-        self.nodes[node.as_usize()].health
-    }
-
-    /// Advances every node's clock, purging expired reservations. Jobs
-    /// whose reservation window ended by `now` are treated as completed:
-    /// they are removed from [`GlobalAdmissionController::placements`] and
-    /// returned, so the placement table cannot grow without bound.
-    pub fn advance(&mut self, now: Cycles) -> Vec<(JobId, NodeId)> {
-        self.advance_recorded(now, &mut NullRecorder)
-    }
-
-    /// [`GlobalAdmissionController::advance`], additionally emitting lease
-    /// expirations (and the migrations/revocations they trigger) to
-    /// `recorder`.
-    pub fn advance_recorded(
-        &mut self,
-        now: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> Vec<(JobId, NodeId)> {
-        self.now = self.now.max(now);
-        let mut completed = Vec::new();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if node.member == MemberState::Left {
-                continue;
-            }
-            let id = NodeId::new(i as u32);
-            for r in node.lac.reservations() {
-                if r.end <= now {
-                    completed.push((r.id, id));
-                }
-            }
-            node.lac.advance(now);
-        }
-        // A probe backoff may have advanced a node's clock past `now`,
-        // letting its LAC purge a reservation before the sweep above saw
-        // it end. A placed job whose node no longer holds its reservation
-        // has therefore completed; without this sweep it would be
-        // stranded in the placement table forever.
-        for &(job, node) in &self.placements {
-            let held = self.nodes[node.as_usize()]
-                .lac
-                .reservations()
-                .iter()
-                .any(|r| r.id == job);
-            if !held && !completed.iter().any(|&(done, _)| done == job) {
-                completed.push((job, node));
-            }
-        }
-        self.placements
-            .retain(|(job, _)| !completed.iter().any(|(done, _)| done == job));
-        self.leases
-            .retain(|(job, _, _)| !completed.iter().any(|(done, _)| done == job));
-        self.expire_leases(recorder);
-        completed
-    }
-
-    /// Revokes and re-places every job whose lease has gone unrenewed past
-    /// the grace window: expiry at `lease + dead_timeout`, the same
-    /// hysteresis that separates *unreachable* from *dead* in the health
-    /// machine, so a short partition stalls renewals without losing the
-    /// placement.
-    fn expire_leases(&mut self, recorder: &mut dyn Recorder) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        let grace = self.config.dead_timeout;
-        let expired: Vec<JobId> = self
-            .leases
-            .iter()
-            .filter(|&&(_, _, until)| self.now > until + grace)
-            .map(|&(job, _, _)| job)
-            .collect();
-        for job in expired {
-            self.drop_lease(job);
-            let Some(node) = self.placement(job) else {
-                continue;
-            };
-            if recorder.enabled() {
-                recorder.record(self.now, Event::LeaseExpired { job, node });
-            }
-            let i = node.as_usize();
-            let held = self.nodes[i]
-                .lac
-                .reservations()
-                .iter()
-                .find(|r| r.id == job)
-                .cloned();
-            match held {
-                Some(r) => {
-                    // Revoke + re-place exactly like an evacuation. The
-                    // cancel is a control-plane order: if the node is truly
-                    // unreachable it re-learns the revocation on rejoin
-                    // (restart reconciliation); in-process it is immediate.
-                    self.nodes[i].lac.cancel(r.id);
-                    let mut report = FaultReport::default();
-                    self.relocate(r, node, recorder, &mut report);
-                }
-                None => {
-                    self.placements.retain(|&(j, _)| j != job);
-                }
-            }
-        }
-    }
-
-    /// Drains one heartbeat round over every reachable member, renewing
-    /// its placement leases to `at + lease_ttl` and counting as proof of
-    /// life for the health machine. Dead, partitioned, and departed nodes
-    /// miss the round; a lease-frozen node answers (health recovers) but
-    /// its renewals are dropped — the `LeaseFreeze` fault. A no-op while
-    /// leasing is disabled.
-    pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        self.now = self.now.max(at);
-        // Pass 1 — proof of life and renewal eligibility, O(nodes).
-        let mut renewing = vec![false; self.nodes.len()];
-        for (i, slot) in renewing.iter_mut().enumerate() {
-            let n = &self.nodes[i];
-            if !matches!(n.member, MemberState::Live | MemberState::Draining)
-                || n.health == NodeHealth::Dead
-                || n.partitioned
-            {
-                continue;
-            }
-            self.nodes[i].consecutive_losses = 0;
-            self.nodes[i].last_heard = self.nodes[i].last_heard.max(at);
-            if self.nodes[i].health == NodeHealth::Suspect {
-                self.set_health(i, NodeHealth::Healthy, recorder);
-            }
-            *slot = !self.nodes[i].lease_frozen;
-        }
-        // Pass 2 — renew in one sweep over the lease table, O(leases);
-        // each lease carries its placement node, so no per-node join with
-        // the placement table is needed.
-        let until = at + self.config.lease_ttl;
-        let mut renewed = vec![0u64; self.nodes.len()];
-        for lease in &mut self.leases {
-            let i = lease.1.as_usize();
-            if renewing[i] {
-                lease.2 = until;
-                renewed[i] += 1;
-            }
-        }
-        if recorder.enabled() {
-            for (i, &leases) in renewed.iter().enumerate() {
-                if leases > 0 {
-                    recorder.record(
-                        at,
-                        Event::LeaseRenewed {
-                            node: NodeId::new(i as u32),
-                            leases,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Grants (or renews) job `job`'s lease on `node`, ending at
-    /// `at + lease_ttl`.
-    fn grant_lease(&mut self, job: JobId, node: NodeId, at: Cycles) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        let until = at + self.config.lease_ttl;
-        match self.leases.iter_mut().find(|(j, _, _)| *j == job) {
-            Some(lease) => {
-                lease.1 = node;
-                lease.2 = until;
-            }
-            None => self.leases.push((job, node, until)),
-        }
-    }
-
-    fn drop_lease(&mut self, job: JobId) {
-        self.leases.retain(|&(j, _, _)| j != job);
-    }
-
-    /// Admits a brand-new node to the membership table with the same LAC
-    /// configuration as the founding nodes. The in-process handshake is
-    /// synchronous, so the node enters `Live` immediately and its id is
-    /// the next unused index (membership is append-only).
-    pub fn join_node(&mut self, at: Cycles, recorder: &mut dyn Recorder) -> NodeId {
-        self.now = self.now.max(at);
-        let node = NodeId::new(self.nodes.len() as u32);
-        let mut lac = Lac::new(self.lac_config);
-        lac.advance(self.now);
-        self.nodes.push(NodeState {
-            lac,
-            health: NodeHealth::Healthy,
-            consecutive_losses: 0,
-            pending_losses: 0,
-            last_heard: self.now,
-            partitioned: false,
-            member: MemberState::Live,
-            lease_frozen: false,
-        });
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeJoined { node });
-        }
-        node
-    }
-
-    /// Gracefully drains `node`: it stops taking new placements, every
-    /// reservation it still holds migrates to a survivor (or is revoked
-    /// with a reason when none fits), and only then does the node
-    /// transition `Left`. A second drain of the same node — or of one
-    /// mid-handshake — is a no-op, so rolling-restart scripts are
-    /// idempotent.
-    pub fn drain_node(
-        &mut self,
-        node: NodeId,
-        at: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        let i = node.as_usize();
-        if i >= self.nodes.len() || self.nodes[i].member != MemberState::Live {
-            return report;
-        }
-        self.now = self.now.max(at);
-        // Draining first: probe_order skips the node from here on, so
-        // nothing lands on it while its reservations move off (and the
-        // relocation loop below cannot pick it as its own target).
-        self.nodes[i].member = MemberState::Draining;
-        self.evacuate(i, recorder, &mut report);
-        self.nodes[i].member = MemberState::Left;
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeDrained { node });
-        }
-        report
-    }
-
-    /// Restarts `node`: its link state and health reset, and its
-    /// journal-recovered reservation table is reconciled against the GAC's
-    /// placement view *before* the node re-enters `Live` — orphaned
-    /// reservations (held by the node but placed elsewhere, or nowhere, by
-    /// the GAC) are cancelled; placements the node no longer holds are
-    /// revoked with a reason. Restarting a departed node is a no-op.
-    pub fn restart_node(
-        &mut self,
-        node: NodeId,
-        at: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        let i = node.as_usize();
-        if i >= self.nodes.len() || self.nodes[i].member == MemberState::Left {
-            return report;
-        }
-        self.now = self.now.max(at);
-        self.nodes[i].member = MemberState::Joining;
-        self.nodes[i].health = NodeHealth::Healthy;
-        self.nodes[i].consecutive_losses = 0;
-        self.nodes[i].pending_losses = 0;
-        self.nodes[i].partitioned = false;
-        self.nodes[i].last_heard = self.now;
-        self.nodes[i].lease_frozen = false;
-        let held: Vec<JobId> = self.nodes[i]
-            .lac
-            .reservations()
-            .iter()
-            .map(|r| r.id)
-            .collect();
-        let mut orphans_revoked = 0u64;
-        for job in &held {
-            if self.placement(*job) != Some(node) {
-                self.nodes[i].lac.cancel(*job);
-                orphans_revoked += 1;
-            }
-        }
-        // A placement the restarted node no longer holds was lost with its
-        // pre-journal state; the reservation's window is gone too, so it
-        // cannot be readmitted — revoke it with a reason.
-        let lost: Vec<JobId> = self
-            .placements
-            .iter()
-            .filter(|&&(job, on)| on == node && !held.contains(&job))
-            .map(|&(job, _)| job)
-            .collect();
-        let placements_repaired = lost.len() as u64;
-        for job in lost {
-            self.placements.retain(|&(j, _)| j != job);
-            self.drop_lease(job);
-            report.revoked.push(job);
-            if recorder.enabled() {
-                recorder.record(
-                    self.now,
-                    Event::ReservationRevoked {
-                        job,
-                        node,
-                        cause: RejectReason::CapacityRevoked.into(),
-                    },
-                );
-            }
-        }
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::Reconciled {
-                    node,
-                    orphans_revoked,
-                    placements_repaired,
-                },
-            );
-        }
-        self.nodes[i].member = MemberState::Live;
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeJoined { node });
-        }
-        // Surviving leases restart their clock: the node just proved it is
-        // alive, and punishing it for pre-restart silence would expire a
-        // reservation it verifiably still holds.
-        for job in held {
-            if self.placement(job) == Some(node) {
-                let granted = self.now;
-                self.grant_lease(job, node, granted);
-            }
-        }
-        report
-    }
-
-    /// Releases job `id`'s reservation (early completion) and drops its
-    /// placement entry.
-    pub fn complete(&mut self, id: JobId, at: Cycles) {
-        if let Some(pos) = self.placements.iter().position(|(job, _)| *job == id) {
-            let (_, node) = self.placements.remove(pos);
-            self.nodes[node.as_usize()].lac.release(id, at);
-            self.drop_lease(id);
-        }
-    }
-
-    /// Submits a job: probes LACs per the policy (healthy nodes first,
-    /// then suspect; dead nodes never) and returns the accepting node (if
-    /// any) and the final decision — the genuine last rejection when every
-    /// probed LAC rejected, or [`RejectReason::NoHealthyNodes`] when no LAC
-    /// answered at all.
-    #[must_use = "dropping the decision loses whether (and where) the job was placed"]
-    pub fn submit(
-        &mut self,
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-    ) -> (Option<NodeId>, Decision) {
-        let req = Self::build_request(id, mode, request, tw, deadline);
-        self.submit_request(&req, &mut NullRecorder)
-    }
-
-    /// [`GlobalAdmissionController::submit`], additionally emitting the
-    /// full probe history — `Submitted`, per-probe `Admitted`/`Rejected`,
-    /// `ProbeLost`/`ProbeBackoff`, health transitions, and the final
-    /// `Placed` — to `recorder`.
-    #[must_use = "dropping the decision loses whether (and where) the job was placed"]
-    pub fn submit_recorded(
-        &mut self,
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-        recorder: &mut dyn Recorder,
-    ) -> (Option<NodeId>, Decision) {
-        let req = Self::build_request(id, mode, request, tw, deadline);
-        self.submit_request(&req, recorder)
-    }
-
-    fn build_request(
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-    ) -> AdmissionRequest {
-        let mut b = AdmissionRequest::builder(id, request, tw).mode(mode);
-        if let Some(td) = deadline {
-            b = b.deadline(td);
-        }
-        b.build()
-    }
-
-    /// Submits a typed [`AdmissionRequest`], emitting the full probe
-    /// history to `recorder`. This is the primary entry point;
-    /// [`GlobalAdmissionController::submit`] and
-    /// [`GlobalAdmissionController::submit_recorded`] delegate here.
-    #[must_use = "dropping the decision loses whether (and where) the job was placed"]
-    pub fn submit_request(
-        &mut self,
-        req: &AdmissionRequest,
-        recorder: &mut dyn Recorder,
-    ) -> (Option<NodeId>, Decision) {
-        let id = req.id;
-        self.submissions += 1;
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::Submitted {
-                    job: id,
-                    mode: req.mode.into(),
-                },
-            );
-        }
-        let mut last: Option<Decision> = None;
-        for i in self.probe_order() {
-            match self.probe(i, req, recorder) {
-                ProbeOutcome::Accepted { start } => {
-                    let node = NodeId::new(i as u32);
-                    self.placements.push((id, node));
-                    let granted = self.stamp(i);
-                    self.grant_lease(id, node, granted);
-                    if recorder.enabled() {
-                        recorder.record(granted, Event::Placed { job: id, node });
-                    }
-                    return (Some(node), Decision::Accepted { start });
-                }
-                ProbeOutcome::Rejected(reason) => last = Some(Decision::Rejected(reason)),
-                ProbeOutcome::Lost | ProbeOutcome::NodeDead => {}
-            }
-        }
-        match last {
-            Some(decision) => (None, decision),
-            None => {
-                if recorder.enabled() {
-                    recorder.record(
-                        self.now,
-                        Event::Rejected {
-                            job: id,
-                            cause: RejectReason::NoHealthyNodes.into(),
-                        },
-                    );
-                }
-                (None, Decision::Rejected(RejectReason::NoHealthyNodes))
-            }
-        }
-    }
-
-    /// Submits a FCFS run of typed requests, returning one
-    /// placement/decision pair per request. Outcomes are bit-identical to
-    /// calling [`GlobalAdmissionController::submit_request`] once per
-    /// request, in order.
-    #[must_use = "dropping the decisions loses where the jobs were placed"]
-    pub fn submit_batch(
-        &mut self,
-        reqs: &[AdmissionRequest],
-        recorder: &mut dyn Recorder,
-    ) -> Vec<(Option<NodeId>, Decision)> {
-        reqs.iter()
-            .map(|req| self.submit_request(req, recorder))
-            .collect()
-    }
-
-    /// Applies one fault injection, emitting every consequence to
-    /// `recorder` and returning the [`FaultReport`] of affected jobs.
-    ///
-    /// * Way/core faults shrink the node's capacity and re-validate its
-    ///   reservations ([`Lac::revoke_capacity`]); evicted jobs are
-    ///   re-placed on surviving nodes when possible.
-    /// * Node faults mark the node [`NodeHealth::Dead`] and evacuate every
-    ///   reservation the same way.
-    /// * Probe losses queue up and consume future probes to that node.
-    /// * Churn faults delegate to [`GlobalAdmissionController::join_node`],
-    ///   [`GlobalAdmissionController::restart_node`], and
-    ///   [`GlobalAdmissionController::drain_node`]; `LeaseFreeze` stops
-    ///   renewing the node's leases until it restarts.
-    ///
-    /// Injections naming a node outside the server are ignored — except
-    /// `NodeJoin`, which is valid *only* for the next unused index.
-    pub fn inject(&mut self, injection: Injection, recorder: &mut dyn Recorder) -> FaultReport {
-        let mut report = FaultReport::default();
-        let at = injection.at;
-        self.now = self.now.max(at);
-        let i = injection.fault.node().as_usize();
-        // Membership is append-only: a join is valid only when it names the
-        // next unused index, so journal replay reconstructs the identical
-        // table. Every other fault must name an existing node.
-        let valid = if matches!(injection.fault, Fault::NodeJoin { .. }) {
-            i == self.nodes.len()
-        } else {
-            i < self.nodes.len()
-        };
-        if !valid {
-            return report;
-        }
-        if recorder.enabled() {
-            recorder.record(
-                at,
-                Event::FaultInjected {
-                    node: injection.fault.node(),
-                    fault: injection.fault.obs_kind(),
-                },
-            );
-        }
-        match injection.fault {
-            Fault::WayFault { .. } => {
-                let shrunk = self.nodes[i]
-                    .lac
-                    .capacity()
-                    .minus(&ResourceRequest::new(0, Ways::new(1)));
-                self.shrink(i, shrunk, at, recorder, &mut report);
-            }
-            Fault::CoreFault { .. } => {
-                let shrunk = self.nodes[i]
-                    .lac
-                    .capacity()
-                    .minus(&ResourceRequest::new(1, Ways::ZERO));
-                self.shrink(i, shrunk, at, recorder, &mut report);
-            }
-            Fault::NodeFault { .. } => {
-                self.set_health(i, NodeHealth::Dead, recorder);
-                self.evacuate(i, recorder, &mut report);
-            }
-            Fault::ProbeLoss { count, .. } => {
-                self.nodes[i].pending_losses += count;
-            }
-            Fault::ControllerCrash { .. } => {
-                // The crash destroys the controller process, not the node's
-                // resources or reservations: in-core state is simply gone.
-                // The GAC cannot "lose its own memory" from inside a method
-                // call, so the harness interprets this fault — it drops the
-                // controller and rebuilds it from the write-ahead journal
-                // (`cmpqos-recovery`). Only the FaultInjected event above is
-                // emitted here.
-            }
-            Fault::LinkPartition { node } => {
-                self.nodes[i].partitioned = true;
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkPartitioned { node });
-                }
-            }
-            Fault::LinkHeal { node } => {
-                self.nodes[i].partitioned = false;
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkHealed { node });
-                }
-            }
-            Fault::MessageDrop { count, .. } => {
-                // At the probe layer a transient message loss is
-                // indistinguishable from a lost probe.
-                self.nodes[i].pending_losses += count;
-            }
-            Fault::NodeJoin { .. } => {
-                let _ = self.join_node(at, recorder);
-            }
-            Fault::NodeRestart { node } => {
-                report.merge(self.restart_node(node, at, recorder));
-            }
-            Fault::NodeDrain { node } => {
-                report.merge(self.drain_node(node, at, recorder));
-            }
-            Fault::LeaseFreeze { .. } => {
-                self.nodes[i].lease_frozen = true;
-            }
-        }
-        report
-    }
-
-    /// Applies every injection due by `now` from `schedule` (in cycle
-    /// order), merging the reports.
-    pub fn inject_due(
-        &mut self,
-        schedule: &mut cmpqos_faults::FaultSchedule,
-        now: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        for injection in schedule.due(now) {
-            report.merge(self.inject(injection, recorder));
-        }
-        report
-    }
-
-    /// Where each admitted-and-not-yet-completed job is placed.
-    #[must_use]
-    pub fn placements(&self) -> &[(JobId, NodeId)] {
-        &self.placements
-    }
-
-    /// The node job `id` is currently placed on, if any.
-    #[must_use]
-    pub fn placement(&self, id: JobId) -> Option<NodeId> {
-        self.placements
-            .iter()
-            .find(|(job, _)| *job == id)
-            .map(|&(_, node)| node)
-    }
-
-    /// Total submissions seen.
-    #[must_use]
-    pub fn submissions(&self) -> u64 {
-        self.submissions
-    }
-
-    /// Probe order: live members only (Joining, Draining, and Left nodes
-    /// take no new placements), healthy before suspect, the policy's order
-    /// within each health class.
-    fn probe_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| {
-                self.nodes[i].member == MemberState::Live
-                    && self.nodes[i].health != NodeHealth::Dead
-            })
-            .collect();
-        if self.policy == ProbePolicy::LeastLoaded {
-            order.sort_by_key(|&i| self.nodes[i].lac.reservation_count());
-        }
-        order.sort_by_key(|&i| match self.nodes[i].health {
-            NodeHealth::Healthy => 0u8,
-            NodeHealth::Suspect => 1,
-            NodeHealth::Dead => 2,
-        });
-        order
-    }
-
-    /// Event timestamp for node `i`: its LAC clock (which backoff may have
-    /// advanced past the GAC's).
-    fn stamp(&self, i: usize) -> Cycles {
-        self.nodes[i].lac.now().max(self.now)
-    }
-
-    /// One node's probe with bounded retry. Lost probes consume queued
-    /// losses, count toward the health state machine, and back off
-    /// deterministically (the delay advances only this node's LAC clock).
-    fn probe(
-        &mut self,
-        i: usize,
-        req: &AdmissionRequest,
-        recorder: &mut dyn Recorder,
-    ) -> ProbeOutcome {
-        let id = req.id;
-        let node = NodeId::new(i as u32);
-        for attempt in 0..=self.config.max_retries {
-            if self.nodes[i].health == NodeHealth::Dead {
-                return ProbeOutcome::NodeDead;
-            }
-            if self.nodes[i].partitioned || self.nodes[i].pending_losses > 0 {
-                // A severed link loses every probe without consuming the
-                // queued transient losses.
-                if !self.nodes[i].partitioned {
-                    self.nodes[i].pending_losses -= 1;
-                }
-                self.nodes[i].consecutive_losses += 1;
-                if recorder.enabled() {
-                    recorder.record(self.stamp(i), Event::ProbeLost { job: id, node });
-                }
-                self.update_health(i, recorder);
-                if self.nodes[i].health == NodeHealth::Dead {
-                    let mut report = FaultReport::default();
-                    self.evacuate(i, recorder, &mut report);
-                    return ProbeOutcome::NodeDead;
-                }
-                if attempt < self.config.max_retries {
-                    let delay = self.config.backoff_delay(attempt);
-                    let fire_at = self.stamp(i) + delay;
-                    self.nodes[i].lac.advance(fire_at);
-                    if recorder.enabled() {
-                        recorder.record(
-                            fire_at,
-                            Event::ProbeBackoff {
-                                job: id,
-                                node,
-                                delay,
-                            },
-                        );
-                    }
-                }
-                continue;
-            }
-            // Probe delivered: the node answered, so it is not losing
-            // messages anymore.
-            self.nodes[i].consecutive_losses = 0;
-            self.nodes[i].last_heard = self.stamp(i);
-            if self.nodes[i].health == NodeHealth::Suspect {
-                self.set_health(i, NodeHealth::Healthy, recorder);
-            }
-            let decision = self.nodes[i].lac.admit_with(req, recorder);
-            return match decision {
-                Decision::Accepted { start } => ProbeOutcome::Accepted { start },
-                Decision::Rejected(reason) => ProbeOutcome::Rejected(reason),
-            };
-        }
-        ProbeOutcome::Lost
-    }
-
-    /// Demotes node `i` per its consecutive-loss count (health only ever
-    /// worsens here; recovery happens when a probe is answered).
-    ///
-    /// Loss-driven death needs **both** [`GacConfig::dead_after`]
-    /// consecutive losses and [`GacConfig::dead_timeout`] of silence:
-    /// losing probes only proves the *link* is down, not the node. Without
-    /// the timeout a short partition burst would evacuate reservations a
-    /// healthy LAC is still honoring — double-booking them elsewhere.
-    fn update_health(&mut self, i: usize, recorder: &mut dyn Recorder) {
-        let losses = self.nodes[i].consecutive_losses;
-        let silent_for = self.stamp(i).saturating_sub(self.nodes[i].last_heard);
-        let target = if losses >= self.config.dead_after && silent_for >= self.config.dead_timeout {
-            NodeHealth::Dead
-        } else if losses >= self.config.suspect_after {
-            NodeHealth::Suspect
-        } else {
-            return;
-        };
-        if self.nodes[i].health != NodeHealth::Dead {
-            self.set_health(i, target, recorder);
-        }
-    }
-
-    fn set_health(&mut self, i: usize, to: NodeHealth, recorder: &mut dyn Recorder) {
-        let from = self.nodes[i].health;
-        if from == to {
-            return;
-        }
-        self.nodes[i].health = to;
-        if recorder.enabled() {
-            recorder.record(
-                self.stamp(i),
-                Event::NodeHealthChanged {
-                    node: NodeId::new(i as u32),
-                    from: from.into(),
-                    to: to.into(),
-                },
-            );
-        }
-    }
-
-    /// Shrinks node `i`'s capacity and handles every revocation: keeps are
-    /// silent, downgrades are reported, evictions are re-placed elsewhere
-    /// (or revoked with a reason when no survivor fits them).
-    fn shrink(
-        &mut self,
-        i: usize,
-        new_capacity: ResourceRequest,
-        at: Cycles,
-        recorder: &mut dyn Recorder,
-        report: &mut FaultReport,
-    ) {
-        let node = NodeId::new(i as u32);
-        let revocations = self.nodes[i].lac.revoke_capacity(new_capacity, at);
-        for rev in revocations {
-            match rev.action {
-                RevocationAction::Kept => {}
-                RevocationAction::Downgraded { ways_cut } => {
-                    report.downgraded.push((rev.id, ways_cut));
-                    if recorder.enabled() {
-                        recorder.record(
-                            self.stamp(i),
-                            Event::DowngradedUnderFault {
-                                job: rev.id,
-                                node,
-                                ways_cut,
-                            },
-                        );
-                    }
-                }
-                RevocationAction::Evicted { reservation, .. } => {
-                    self.relocate(reservation, node, recorder, report);
-                }
-            }
-        }
-    }
-
-    /// Moves every reservation off (dead) node `i`.
-    fn evacuate(&mut self, i: usize, recorder: &mut dyn Recorder, report: &mut FaultReport) {
-        let from = NodeId::new(i as u32);
-        let stranded = self.nodes[i].lac.reservations().to_vec();
-        for r in &stranded {
-            self.nodes[i].lac.cancel(r.id);
-        }
-        for r in stranded {
-            self.relocate(r, from, recorder, report);
-        }
-    }
-
-    /// Re-places one stranded reservation on a surviving node, preserving
-    /// its duration, mode, and original deadline. Migration readmits are an
-    /// internal control-plane path: they bypass queued probe losses. When
-    /// no survivor fits, the reservation is revoked **with a reason** — it
-    /// is never silently lost.
-    fn relocate(
-        &mut self,
-        r: Reservation,
-        from: NodeId,
-        recorder: &mut dyn Recorder,
-        report: &mut FaultReport,
-    ) {
-        for i in self.probe_order() {
-            if i == from.as_usize() {
-                continue;
-            }
-            if let Decision::Accepted { .. } = self.nodes[i].lac.readmit(&r) {
-                let to = NodeId::new(i as u32);
-                for p in &mut self.placements {
-                    if p.0 == r.id {
-                        p.1 = to;
-                    }
-                }
-                let granted = self.stamp(i);
-                self.grant_lease(r.id, to, granted);
-                report.migrated.push((r.id, from, to));
-                if recorder.enabled() {
-                    recorder.record(
-                        self.stamp(i),
-                        Event::Migrated {
-                            job: r.id,
-                            from,
-                            to,
-                        },
-                    );
-                }
-                return;
-            }
-        }
-        report.revoked.push(r.id);
-        self.placements.retain(|(id, _)| *id != r.id);
-        self.drop_lease(r.id);
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::ReservationRevoked {
-                    job: r.id,
-                    node: from,
-                    cause: RejectReason::CapacityRevoked.into(),
-                },
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cmpqos_faults::FaultPlan;
-    use cmpqos_obs::RingBufferRecorder;
-    use cmpqos_types::Percent;
-
-    fn submit_strict(gac: &mut GlobalAdmissionController, id: u32) -> (Option<NodeId>, Decision) {
-        gac.submit(
-            JobId::new(id),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            Some(Cycles::new(105)),
-        )
-    }
-
-    #[test]
-    fn overflow_spills_to_next_node() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-        // Two jobs fill node 0 (7+7 of 16 ways, tight deadlines), the third
-        // must go to node 1.
-        assert_eq!(submit_strict(&mut gac, 0).0, Some(NodeId::new(0)));
-        assert_eq!(submit_strict(&mut gac, 1).0, Some(NodeId::new(0)));
-        assert_eq!(submit_strict(&mut gac, 2).0, Some(NodeId::new(1)));
-    }
-
-    #[test]
-    fn rejects_when_all_nodes_full() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let _ = submit_strict(&mut gac, 0);
-        let _ = submit_strict(&mut gac, 1);
-        let (node, d) = submit_strict(&mut gac, 2);
-        assert_eq!(node, None);
-        // The genuine LAC rejection, not a fabricated default.
-        assert_eq!(
-            d,
-            Decision::Rejected(RejectReason::NoCapacityBeforeDeadline)
-        );
-    }
-
-    #[test]
-    fn least_loaded_spreads_jobs() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::LeastLoaded);
-        assert_eq!(submit_strict(&mut gac, 0).0, Some(NodeId::new(0)));
-        assert_eq!(submit_strict(&mut gac, 1).0, Some(NodeId::new(1)));
-        assert_eq!(gac.placements().len(), 2);
-        assert_eq!(gac.submissions(), 2);
-    }
-
-    #[test]
-    fn advance_propagates_to_all_lacs() {
-        let mut gac =
-            GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::FirstFit);
-        gac.advance(Cycles::new(42));
-        for i in 0..3 {
-            assert_eq!(gac.lac(NodeId::new(i)).now(), Cycles::new(42));
-        }
-    }
-
-    #[test]
-    fn try_new_rejects_an_empty_server() {
-        assert_eq!(
-            GlobalAdmissionController::try_new(0, LacConfig::default(), ProbePolicy::FirstFit)
-                .err(),
-            Some(GacError::NoNodes)
-        );
-        assert_eq!(
-            GacError::NoNodes.to_string(),
-            "a server needs at least one node"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn new_panics_on_an_empty_server() {
-        let _ = GlobalAdmissionController::new(0, LacConfig::default(), ProbePolicy::FirstFit);
-    }
-
-    #[test]
-    fn backoff_sequence_is_deterministic() {
-        let cfg = GacConfig::builder()
-            .backoff_base(Cycles::new(100))
-            .backoff_factor(2)
-            .build();
-        let delays: Vec<u64> = (0..4).map(|a| cfg.backoff_delay(a).get()).collect();
-        assert_eq!(delays, vec![100, 200, 400, 800]);
-        // Saturates instead of overflowing.
-        assert_eq!(cfg.backoff_delay(u32::MAX).get(), u64::MAX);
-    }
-
-    #[test]
-    fn backoff_saturates_with_a_pinned_capped_sequence() {
-        // base 100 · 2^a overflows u64 at a = 58 (100 ≈ 2^6.6), so the
-        // sequence must walk up to the cap and then stay pinned there —
-        // in O(1) per call even for absurd attempt counts.
-        let cfg = GacConfig::builder()
-            .backoff_base(Cycles::new(100))
-            .backoff_factor(2)
-            .build();
-        assert_eq!(cfg.backoff_delay(57).get(), 100u64 << 57);
-        for attempt in [58, 64, 1_000, u32::MAX - 1, u32::MAX] {
-            assert_eq!(cfg.backoff_delay(attempt).get(), u64::MAX, "{attempt}");
-        }
-        // Degenerate factors stay exact: factor 1 never grows, factor 0
-        // collapses to zero after the first retry (0^0 == 1).
-        let flat = GacConfig::builder()
-            .backoff_base(Cycles::new(500))
-            .backoff_factor(1)
-            .build();
-        assert_eq!(flat.backoff_delay(u32::MAX).get(), 500);
-        let zero = GacConfig::builder()
-            .backoff_base(Cycles::new(500))
-            .backoff_factor(0)
-            .build();
-        assert_eq!(zero.backoff_delay(0).get(), 500);
-        assert_eq!(zero.backoff_delay(7).get(), 0);
-    }
-
-    #[test]
-    fn completed_jobs_leave_the_placement_table() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let _ = submit_strict(&mut gac, 0);
-        assert_eq!(gac.placements().len(), 1);
-        let done = gac.advance(Cycles::new(200));
-        assert_eq!(done, vec![(JobId::new(0), NodeId::new(0))]);
-        assert!(gac.placements().is_empty());
-    }
-
-    #[test]
-    fn lost_probes_retry_with_backoff_then_place() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .max_retries(3)
-                        .backoff_base(Cycles::new(100))
-                        .suspect_after(10)
-                        .dead_after(20)
-                        .build(),
-                );
-        let mut rec = RingBufferRecorder::new(64);
-        // Two probes vanish; the third is answered.
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 2)
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted());
-        assert_eq!(node, Some(NodeId::new(0)));
-        let c = rec.counters();
-        assert_eq!(c.probes_lost, 2);
-        assert_eq!(c.probe_backoffs, 2);
-        assert_eq!(c.placed, 1);
-        // Backoff advanced the node's clock: 100 then 200.
-        assert_eq!(gac.lac(NodeId::new(0)).now(), Cycles::new(300));
-    }
-
-    #[test]
-    fn reservation_purged_by_a_backoff_clock_still_completes() {
-        // A backoff stamp advances the probed node's LAC clock, which may
-        // purge an already-finished reservation before the GAC's own
-        // advance() sweep sees its end. The job must still be reported
-        // completed (and leave the placement table), never stranded.
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted());
-        assert_eq!(node, Some(NodeId::new(0)));
-        // Two lost probes: the retry backoffs (default base 1000) advance
-        // node 0's clock far past job 0's end at cycle 100.
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 2)
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        let (_, d) = gac.submit_recorded(
-            JobId::new(1),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted());
-        assert!(gac.lac(NodeId::new(0)).now() > Cycles::new(100));
-        let done = gac.advance(Cycles::new(50));
-        assert!(
-            done.contains(&(JobId::new(0), NodeId::new(0))),
-            "purged job 0 reported completed: {done:?}"
-        );
-        assert!(gac.placement(JobId::new(0)).is_none());
-        assert!(gac.placement(JobId::new(1)).is_some());
-    }
-
-    #[test]
-    fn sustained_losses_demote_to_suspect_not_dead_within_timeout() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 10)
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        // Default config: suspect after 2 losses; the 4 losses of one
-        // submission satisfy dead_after, but only ~7k cycles of backoff
-        // have elapsed — far short of the 30k dead_timeout. The node must
-        // stay Suspect (losses prove the link is down, not the node).
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted(), "spills to the healthy node");
-        assert_eq!(node, Some(NodeId::new(1)));
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
-        assert_eq!(gac.live_nodes(), 2, "suspect nodes are still probed");
-        assert_eq!(rec.counters().node_health_changes, 1);
-    }
-
-    #[test]
-    fn sustained_losses_past_the_timeout_demote_to_dead() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 10)
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        let (_, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
-        // Past the 30k dead_timeout the node has been silent for too long:
-        // the next burst of losses is allowed to declare it dead.
-        let _ = gac.advance(Cycles::new(40_000));
-        let (_, d) = gac.submit_recorded(
-            JobId::new(1),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Dead);
-        assert_eq!(gac.live_nodes(), 0);
-        assert_eq!(rec.counters().node_health_changes, 2);
-    }
-
-    #[test]
-    fn partition_is_not_death_and_heal_restores() {
-        // THE regression this PR pins: a partitioned node is unreachable,
-        // not dead. Evacuating its reservations would double-book them —
-        // the LAC on the far side of the partition is still honoring them.
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(128);
-        let submit = |gac: &mut GlobalAdmissionController,
-                      id: u32,
-                      deadline: Option<Cycles>,
-                      rec: &mut RingBufferRecorder| {
-            gac.submit_recorded(
-                JobId::new(id),
-                ExecutionMode::Strict,
-                ResourceRequest::paper_job(),
-                Cycles::new(100),
-                deadline,
-                rec,
-            )
-        };
-        let (node, d) = submit(&mut gac, 0, None, &mut rec);
-        assert!(d.is_accepted());
-        assert_eq!(node, Some(NodeId::new(0)));
-        gac.inject(
-            FaultPlan::new()
-                .link_partition(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        // Every probe to node 0 is now lost; jobs spill to node 1. However
-        // many submissions hammer the dead link, node 0 must not be
-        // declared dead within the timeout — and job 0 must stay put.
-        for i in 1..4u32 {
-            let _ = submit(&mut gac, i, None, &mut rec);
-        }
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
-        assert_eq!(
-            gac.placement(JobId::new(0)),
-            Some(NodeId::new(0)),
-            "the partitioned node keeps its placement"
-        );
-        let c = rec.counters();
-        assert_eq!(c.migrated, 0, "no evacuation of a merely-partitioned node");
-        assert_eq!(c.reservations_revoked, 0);
-        assert_eq!(c.links_partitioned, 1);
-        // Heal the link; the next answered probe restores the node.
-        gac.inject(
-            FaultPlan::new()
-                .link_heal(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        // Advance past every backoff-skewed clock so old reservations
-        // complete, then fill node 1 with two tight-deadline jobs. The
-        // third forces a probe of the still-Suspect node 0, which now
-        // answers: health recovers and the job lands there.
-        let _ = gac.advance(Cycles::new(10_000));
-        let deadline = Some(Cycles::new(10_105));
-        assert_eq!(
-            submit(&mut gac, 4, deadline, &mut rec).0,
-            Some(NodeId::new(1))
-        );
-        assert_eq!(
-            submit(&mut gac, 5, deadline, &mut rec).0,
-            Some(NodeId::new(1))
-        );
-        let (node, d) = submit(&mut gac, 6, deadline, &mut rec);
-        assert!(d.is_accepted(), "healed node takes jobs: {d:?}");
-        assert_eq!(node, Some(NodeId::new(0)), "healed node takes jobs");
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
-        assert_eq!(rec.counters().links_healed, 1);
-    }
-
-    #[test]
-    fn all_nodes_dead_rejects_with_no_healthy_nodes() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(16);
-        gac.inject(
-            FaultPlan::new()
-                .node_fault(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        let (node, d) = submit_strict(&mut gac, 0);
-        assert_eq!(node, None);
-        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
-    }
-
-    #[test]
-    fn node_fault_migrates_reservations_to_survivors() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        let (node, _) = submit_strict(&mut gac, 0);
-        assert_eq!(node, Some(NodeId::new(0)));
-        let report = gac.inject(
-            FaultPlan::new()
-                .node_fault(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        assert_eq!(
-            report.migrated,
-            vec![(JobId::new(0), NodeId::new(0), NodeId::new(1))]
-        );
-        assert!(report.revoked.is_empty());
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(1)));
-        assert!(gac.lac(NodeId::new(0)).reservations().is_empty());
-        assert_eq!(gac.lac(NodeId::new(1)).reservations().len(), 1);
-        // Migration honors the original deadline.
-        assert_eq!(
-            gac.lac(NodeId::new(1)).reservations()[0].deadline,
-            Some(Cycles::new(105))
-        );
-    }
-
-    #[test]
-    fn way_fault_downgrades_elastic_and_evicts_what_cannot_fit() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        // Two Elastic(50%) jobs of 8 ways each fill all 16 ways.
-        for i in 0..2u32 {
-            let (_, d) = gac.submit(
-                JobId::new(i),
-                ExecutionMode::Elastic(Percent::new(50.0)),
-                ResourceRequest::new(1, Ways::new(8)),
-                Cycles::new(100),
-                None,
-            );
-            assert!(d.is_accepted());
-        }
-        let report = gac.inject(
-            FaultPlan::new()
-                .way_fault(Cycles::ZERO, NodeId::new(0), 3)
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        // FCFS: job 0 keeps its 8 ways; job 1 absorbs the loss by giving
-        // up one way (within its floor(8 · 0.5) = 4-way slack).
-        assert_eq!(report.downgraded, vec![(JobId::new(1), Ways::new(1))]);
-        assert!(report.revoked.is_empty());
-        assert_eq!(rec.counters().downgraded_under_fault, 1);
-        let total: u16 = gac
-            .lac(NodeId::new(0))
-            .reservations()
-            .iter()
-            .map(|r| r.request.cache_ways().get())
-            .sum();
-        assert_eq!(total, 15, "8 kept + 7 downgraded fits 15 ways");
-    }
-
-    #[test]
-    fn joined_node_takes_placements_and_draining_stops_them() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        assert_eq!(gac.nodes(), 1);
-        let joined = gac.join_node(Cycles::ZERO, &mut rec);
-        assert_eq!(joined, NodeId::new(1));
-        assert_eq!(gac.nodes(), 2);
-        assert_eq!(gac.live_nodes(), 2);
-        assert_eq!(gac.member_state(joined), MemberState::Live);
-        assert_eq!(rec.counters().nodes_joined, 1);
-        // Two paper jobs land on node 0 (FirstFit); draining it migrates
-        // both onto the joined node (2 x 7 = 14 <= 16 ways) and departs —
-        // no admitted job is lost.
-        let _ = submit_strict(&mut gac, 0);
-        let _ = submit_strict(&mut gac, 1);
-        let report = gac.drain_node(NodeId::new(0), Cycles::ZERO, &mut rec);
-        assert_eq!(report.migrated.len(), 2);
-        assert!(report.revoked.is_empty());
-        assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Left);
-        assert_eq!(gac.live_nodes(), 1);
-        assert_eq!(rec.counters().nodes_drained, 1);
-        for (job, node) in gac.placements() {
-            assert_eq!(*node, joined, "{job:?} moved off the drained node");
-        }
-        // A departed node takes nothing, and a second drain is a no-op.
-        assert!(gac
-            .drain_node(NodeId::new(0), Cycles::ZERO, &mut rec)
-            .is_quiet());
-        assert_eq!(rec.counters().nodes_drained, 1);
-    }
-
-    #[test]
-    fn restart_reconciles_the_node_before_it_reenters_live() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        let _ = submit_strict(&mut gac, 0);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
-        // A clean restart: the journal-recovered table matches the GAC's
-        // placement view, so nothing is revoked and the job survives.
-        let report = gac.restart_node(NodeId::new(0), Cycles::ZERO, &mut rec);
-        assert!(report.is_quiet());
-        assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Live);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
-        assert_eq!(rec.counters().reconciled, 1);
-        assert_eq!(rec.counters().nodes_joined, 1);
-        // Restarting a departed node is a no-op.
-        let _ = gac.drain_node(NodeId::new(0), Cycles::ZERO, &mut rec);
-        assert!(gac
-            .restart_node(NodeId::new(0), Cycles::ZERO, &mut rec)
-            .is_quiet());
-        assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Left);
-    }
-
-    #[test]
-    fn unrenewed_lease_expires_after_grace_and_the_job_migrates() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .lease_ttl(Cycles::new(1_000))
-                        .dead_timeout(Cycles::new(2_000))
-                        .build(),
-                );
-        let mut rec = RingBufferRecorder::new(64);
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100_000),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted());
-        assert_eq!(node, Some(NodeId::new(0)));
-        assert_eq!(gac.leases().len(), 1);
-        // Heartbeats reach node 0 until its link is severed; renewals then
-        // stop and the lease runs out ttl + grace later.
-        gac.heartbeat_all(Cycles::new(500), &mut rec);
-        assert_eq!(rec.counters().leases_renewed, 1);
-        gac.inject(
-            FaultPlan::new()
-                .link_partition(Cycles::new(600), NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        gac.heartbeat_all(Cycles::new(1_000), &mut rec);
-        assert_eq!(rec.counters().leases_renewed, 1, "partitioned: no renewal");
-        // Within ttl + grace the placement survives (unreachable ≠ dead) …
-        let _ = gac.advance_recorded(Cycles::new(3_000), &mut rec);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
-        // … but past it the lease expires and the job re-places, exactly
-        // like an evacuation.
-        let _ = gac.advance_recorded(Cycles::new(4_000), &mut rec);
-        assert_eq!(rec.counters().leases_expired, 1);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(1)));
-        assert_eq!(rec.counters().migrated, 1);
-        assert_eq!(
-            gac.leases().len(),
-            1,
-            "the migrated job holds a fresh lease"
-        );
-    }
-
-    #[test]
-    fn heartbeats_keep_leases_alive_and_freeze_forces_expiry() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .lease_ttl(Cycles::new(1_000))
-                        .dead_timeout(Cycles::new(2_000))
-                        .build(),
-                );
-        let mut rec = RingBufferRecorder::new(128);
-        let (_, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100_000),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted());
-        // Renewed every 500 cycles, the lease never nears expiry even far
-        // past its original ttl.
-        for t in (500..=10_000).step_by(500) {
-            gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance_recorded(Cycles::new(t), &mut rec);
-        }
-        assert_eq!(rec.counters().leases_expired, 0);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
-        // Freeze renewals: heartbeats still arrive (health stays Healthy)
-        // but the lease dies ttl + grace later — on a one-node server the
-        // job is revoked, never silently lost.
-        gac.inject(
-            FaultPlan::new()
-                .lease_freeze(Cycles::new(10_000), NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        for t in (10_500..=14_000).step_by(500) {
-            gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance_recorded(Cycles::new(t), &mut rec);
-        }
-        assert_eq!(rec.counters().leases_expired, 1);
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
-        assert_eq!(rec.counters().reservations_revoked, 1);
-        assert!(gac.placements().is_empty());
-    }
-
-    #[test]
-    fn snapshot_round_trips_membership_and_leases() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(GacConfig::builder().lease_ttl(Cycles::new(5_000)).build());
-        let mut rec = RingBufferRecorder::new(64);
-        let _ = submit_strict(&mut gac, 0);
-        let joined = gac.join_node(Cycles::new(10), &mut rec);
-        let _ = gac.drain_node(NodeId::new(0), Cycles::new(20), &mut rec);
-        let restored = GlobalAdmissionController::restore(gac.snapshot());
-        assert_eq!(restored, gac);
-        assert_eq!(restored.member_state(NodeId::new(0)), MemberState::Left);
-        assert_eq!(restored.member_state(joined), MemberState::Live);
-        assert_eq!(restored.leases(), gac.leases());
-        assert!(!restored.leases().is_empty());
-    }
-
-    #[test]
-    fn injected_join_is_valid_only_for_the_next_index() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(16);
-        // Joining index 5 on a 1-node table is ignored (append-only).
-        let _ = gac.inject(
-            FaultPlan::new()
-                .node_join(Cycles::ZERO, NodeId::new(5))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        assert_eq!(gac.nodes(), 1);
-        // Joining the next index works.
-        let _ = gac.inject(
-            FaultPlan::new()
-                .node_join(Cycles::ZERO, NodeId::new(1))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        assert_eq!(gac.nodes(), 2);
-        assert_eq!(gac.live_nodes(), 2);
-    }
-
-    #[test]
-    fn stranded_strict_job_with_no_survivor_is_revoked_with_reason() {
-        // One-node server: a node fault leaves nowhere to migrate.
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(32);
-        let _ = submit_strict(&mut gac, 0);
-        let report = gac.inject(
-            FaultPlan::new()
-                .node_fault(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        assert_eq!(report.revoked, vec![JobId::new(0)]);
-        assert!(gac.placements().is_empty(), "no stranded placement entry");
-        assert_eq!(rec.counters().reservations_revoked, 1);
-    }
 }

@@ -387,13 +387,6 @@ impl Lac {
         self.table.to_vec()
     }
 
-    /// Number of live reservations (O(1); prefer over
-    /// `reservations().len()`, which materializes the list).
-    #[must_use]
-    pub fn reservation_count(&self) -> usize {
-        self.table.len()
-    }
-
     /// Reserved usage at instant `t`.
     #[must_use]
     pub fn usage_at(&self, t: Cycles) -> ResourceRequest {
@@ -416,10 +409,8 @@ impl Lac {
     /// to the earliest feasible slot when the latest is taken.
     pub fn admit(&mut self, req: &AdmissionRequest) -> Decision {
         match (req.placement, req.deadline) {
-            (Placement::LatestFeasible, Some(td)) => {
-                self.admit_latest_at(req.id, req.request, req.tw, td)
-            }
-            _ => self.admit_earliest(req.id, req.mode, req.request, req.tw, req.deadline),
+            (Placement::LatestFeasible, Some(td)) => self.admit_latest_at(req, td),
+            _ => self.admit_earliest(req),
         }
     }
 
@@ -458,20 +449,13 @@ impl Lac {
     }
 
     /// Earliest-feasible FCFS admission (the old positional `admit`).
-    fn admit_earliest(
-        &mut self,
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-    ) -> Decision {
+    fn admit_earliest(&mut self, req: &AdmissionRequest) -> Decision {
         self.charge_test();
-        if !request.fits_within(&self.config.capacity) {
+        if !req.request.fits_within(&self.config.capacity) {
             self.rejected += 1;
             return Decision::Rejected(RejectReason::ExceedsNodeCapacity);
         }
-        match mode.reservation_duration(tw) {
+        match req.mode.reservation_duration(req.tw) {
             None => {
                 // Opportunistic: spare core right now?
                 let used = self.usage_at(self.now);
@@ -484,7 +468,7 @@ impl Lac {
                 }
             }
             Some(duration) => {
-                let latest_start = match deadline {
+                let latest_start = match req.deadline {
                     Some(td) => {
                         let Some(ls) = td.get().checked_sub(duration.get()) else {
                             self.rejected += 1;
@@ -494,16 +478,10 @@ impl Lac {
                     }
                     None => Cycles::HORIZON,
                 };
-                match self.earliest_start(&request, duration, self.now, latest_start) {
+                match self.earliest_start(&req.request, duration, self.now, latest_start) {
                     Some(start) => {
-                        self.table.insert(Reservation {
-                            id,
-                            start,
-                            end: start + duration,
-                            request,
-                            mode,
-                            deadline,
-                        });
+                        self.table
+                            .insert(req.reservation_at(start).expect("the mode reserves"));
                         self.accepted += 1;
                         Decision::Accepted { start }
                     }
@@ -519,13 +497,8 @@ impl Lac {
     /// Latest-slot admission ([`Placement::LatestFeasible`]): reserve
     /// `[td − tw, td)`, falling back to the earliest feasible slot when
     /// the latest is taken. Always admits as `Strict`.
-    fn admit_latest_at(
-        &mut self,
-        id: JobId,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Cycles,
-    ) -> Decision {
+    fn admit_latest_at(&mut self, req: &AdmissionRequest, deadline: Cycles) -> Decision {
+        let (request, tw) = (req.request, req.tw);
         self.charge_test();
         if !request.fits_within(&self.config.capacity) {
             self.rejected += 1;
@@ -545,14 +518,8 @@ impl Lac {
         };
         match start {
             Some(start) => {
-                self.table.insert(Reservation {
-                    id,
-                    start,
-                    end: start + tw,
-                    request,
-                    mode: ExecutionMode::Strict,
-                    deadline: Some(deadline),
-                });
+                self.table
+                    .insert(req.reservation_at(start).expect("latest-feasible reserves"));
                 self.accepted += 1;
                 Decision::Accepted { start }
             }
@@ -913,7 +880,7 @@ mod tests {
         );
         // No reservation was added for it.
         assert_eq!(l.reservations().len(), 2);
-        assert_eq!(l.reservation_count(), 2);
+        assert_eq!(l.reservations().len(), 2);
     }
 
     #[test]

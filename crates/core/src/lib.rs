@@ -12,9 +12,10 @@
 //! * **Execution modes** ([`modes`]) — `Strict`, `Elastic(X)`,
 //!   `Opportunistic`, plus the manual and automatic mode-downgrade rules of
 //!   Sections 3.3–3.4.
-//! * **Admission control** ([`lac`], [`gac`]) — the per-node FCFS Local
-//!   Admission Controller with timeslot/resource reservation, and the
-//!   Global Admission Controller that probes nodes.
+//! * **Admission control** ([`lac`], [`gac`], [`protocol`]) — the per-node
+//!   FCFS Local Admission Controller with timeslot/resource reservation,
+//!   and the Global Admission Controller that probes nodes over a message
+//!   network (an in-process server is its lossless, zero-latency case).
 //! * **Resource stealing** ([`stealing`]) — the duplicate-tag-guarded
 //!   controller that removes one way per interval from an `Elastic(X)` job
 //!   and donates it to Opportunistic jobs, cancelling when the cumulative
@@ -66,10 +67,7 @@ pub mod stealing;
 pub mod target;
 
 pub use epoch::{EpochController, EpochSample, EpochView, KnobUpdate, SloSpec};
-pub use gac::{
-    FaultReport, GacConfig, GacConfigBuilder, GacError, GacState, GlobalAdmissionController,
-    MemberState, NodeHealth, NodeSnapshot, ProbeOutcome, ProbePolicy,
-};
+pub use gac::{MemberState, NodeHealth, ProbePolicy};
 pub use intake::{
     AdmissionIntake, DrainedDecision, IntakeConfig, IntakeConfigBuilder, IntakeOutcome, IntakeStats,
 };
@@ -79,8 +77,8 @@ pub use lac::{
 };
 pub use modes::ExecutionMode;
 pub use protocol::{
-    Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, NetGacStats, NetReply, NetRequest,
-    ReplyBody, RequestBody, Wire,
+    CapacityBackend, Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, NetGacStats, NetReply,
+    NetRequest, ReplyBody, RequestBody, Wire,
 };
 pub use request::{AdmissionRequest, AdmissionRequestBuilder, Feasibility, Placement};
 pub use scheduler::{

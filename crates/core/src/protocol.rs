@@ -1,11 +1,13 @@
-//! The GAC↔LAC control plane as a request/reply protocol over a
-//! message network.
+//! The Global Admission Controller: the GAC↔LAC control plane as a
+//! request/reply protocol over a message network.
 //!
-//! The in-process [`GlobalAdmissionController`](crate::gac) calls its LACs
-//! as plain methods; this module re-expresses the same conversations as
-//! typed messages over a [`Transport`] (usually a seeded
-//! [`cmpqos_net::SimNet`]), so partitions, drops, duplicates, and reorder
-//! become first-class failure modes of admission control itself:
+//! The paper's GAC probes per-node LACs (Section 3.1). Here every probe,
+//! readmit, revoke, and membership step is a typed message over a
+//! [`Transport`] (a seeded [`cmpqos_net::SimNet`]), so partitions, drops,
+//! duplicates, and reorder are first-class failure modes of admission
+//! control itself. An in-process server is the degenerate network: a
+//! lossless, zero-latency link ([`Cluster::in_process`]) on which every
+//! conversation completes in the instant it opens.
 //!
 //! * [`NetRequest`]/[`NetReply`] — the wire protocol: probe, readmit,
 //!   revoke, occupancy summary, and reconciliation, each carrying a
@@ -18,35 +20,36 @@
 //!   a conversation the GAC abandoned (its request lost forever) can
 //!   never deadlock the stream.
 //! * [`NetGac`] — the GAC side: a task queue (place / readmit / revoke /
-//!   reconcile / ping) driven one conversation at a time per the
-//!   failure-detector state machine. Lost replies are retried with the
-//!   same sequence number (idempotent by the endpoint's cache); a
-//!   conversation that exhausts its retries bumps the node's epoch — any
-//!   straggler reply is then *stale* and discarded — and flags the node
-//!   for reconciliation.
+//!   reconcile / ping / heartbeat / join / drain) driven one conversation
+//!   at a time per the failure-detector state machine. Lost replies are
+//!   retried with the same sequence number (idempotent by the endpoint's
+//!   cache); a conversation that exhausts its retries bumps the node's
+//!   epoch — any straggler reply is then *stale* and discarded — and
+//!   flags the node for reconciliation.
 //! * **Unreachable is not dead.** Retry exhaustion demotes a node to
 //!   [`NodeHealth::Suspect`]: placements pause, nothing is evacuated.
 //!   Only when the node has also been silent for
-//!   [`GacConfig::dead_timeout`] is it declared [`NodeHealth::Dead`] and
-//!   its reservations migrated. A partitioned LAC keeps honoring its
+//!   [`NetGacConfig::dead_timeout`] is it declared [`NodeHealth::Dead`]
+//!   and its reservations migrated. A partitioned LAC keeps honoring its
 //!   reservations; evacuating them would double-book the jobs.
 //! * **Reconciliation.** After the GAC gives up on any conversation with
-//!   side effects, the node may hold *orphan* reservations (it admitted,
-//!   the accept reply was lost). On the next successful contact the GAC
-//!   sends its view of the node's placements; the endpoint revokes
-//!   orphans, reports what it still holds, and the GAC re-places
-//!   anything the node lost.
+//!   side effects, or after a capacity fault shrinks a node, the node's
+//!   table may differ from the GAC's placement view. On the next
+//!   successful contact the GAC sends its view; the endpoint revokes
+//!   *orphans* (held but unknown to the GAC), reports what it still
+//!   holds, and the GAC re-places anything the node lost.
 //! * [`Cluster`] — the harness: GAC + endpoints + network, advanced
 //!   event-to-event so a run is a deterministic function of
 //!   `(seed, submissions, faults)`.
 
-use crate::gac::{GacConfig, MemberState, NodeHealth, ProbePolicy};
-use crate::lac::{Decision, Lac, RejectReason, Reservation};
+use crate::gac::{MemberState, NodeHealth, ProbePolicy};
+use crate::lac::{Decision, Lac, RejectReason, Reservation, Revocation, RevocationAction};
 use crate::request::AdmissionRequest;
+use crate::target::ResourceRequest;
 use cmpqos_faults::{Fault, Injection};
 use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
 use cmpqos_obs::{Event, Recorder};
-use cmpqos_types::{Cycles, JobId, NodeId};
+use cmpqos_types::{Cycles, JobId, NodeId, Ways};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The node-side admission state machine a [`LacEndpoint`] drives.
@@ -92,6 +95,27 @@ impl LacBackend for Lac {
 
     fn reservations(&self) -> Vec<Reservation> {
         Lac::reservations(self)
+    }
+}
+
+/// A [`LacBackend`] whose capacity a hardware fault can shrink. Only
+/// [`Cluster::apply`] needs it, so admission-only backends implement
+/// [`LacBackend`] alone.
+pub trait CapacityBackend: LacBackend {
+    /// The node's current capacity.
+    fn capacity(&self) -> ResourceRequest;
+    /// Shrinks the capacity to `new_capacity` at `now` and re-validates
+    /// every reservation ([`Lac::revoke_capacity`]).
+    fn revoke_capacity(&mut self, new_capacity: ResourceRequest, now: Cycles) -> Vec<Revocation>;
+}
+
+impl CapacityBackend for Lac {
+    fn capacity(&self) -> ResourceRequest {
+        Lac::capacity(self)
+    }
+
+    fn revoke_capacity(&mut self, new_capacity: ResourceRequest, now: Cycles) -> Vec<Revocation> {
+        Lac::revoke_capacity(self, new_capacity, now)
     }
 }
 
@@ -271,6 +295,12 @@ impl<B: LacBackend> LacEndpoint<B> {
         &self.backend
     }
 
+    /// Mutable access to the backend, for node-local events that act
+    /// outside the protocol (a capacity fault).
+    pub fn backend_mut(&mut self) -> &mut B {
+        &mut self.backend
+    }
+
     /// Restarts the endpoint process: every piece of protocol state —
     /// epoch, expected sequence, buffered frames, reply cache, counters —
     /// is gone, but the backend (the journal-recovered reservation table)
@@ -425,13 +455,24 @@ impl<B: LacBackend> LacEndpoint<B> {
     }
 }
 
-/// Timing knobs of the message-layer GAC.
+/// The GAC's retry, failure-detector, and lease knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGacConfig {
-    /// Retry/health thresholds (shared with the in-process GAC). The
-    /// backoff fields are unused here; retransmission pacing comes from
-    /// [`NetGacConfig::rto`].
-    pub gac: GacConfig,
+    /// Retransmissions of one conversation before the GAC abandons it.
+    pub max_retries: u32,
+    /// Consecutive losses that demote a node to [`NodeHealth::Suspect`].
+    pub suspect_after: u32,
+    /// Consecutive losses required (together with
+    /// [`NetGacConfig::dead_timeout`]) to demote a node to
+    /// [`NodeHealth::Dead`].
+    pub dead_after: u32,
+    /// How long a node must have been silent before loss-driven death is
+    /// allowed; also the grace an unrenewed lease gets past its expiry.
+    /// Losses alone only demote to Suspect until this timeout expires: a
+    /// partitioned node is *unreachable, not dead*, and evacuating its
+    /// (still honored) reservations would double-book them.
+    pub dead_timeout: Cycles,
     /// Initial retransmission timeout; doubles per attempt.
     pub rto: Cycles,
     /// How long a parked task (failed revoke/reconcile/ping) waits
@@ -439,12 +480,11 @@ pub struct NetGacConfig {
     pub retry_interval: Cycles,
     /// Heartbeat period: every `heartbeat_every` cycles the GAC opens a
     /// heartbeat conversation with each reachable member. `Cycles::ZERO`
-    /// (the default) disables heartbeats — existing cycle-precise runs
-    /// are unperturbed.
+    /// (the default) disables heartbeats.
     pub heartbeat_every: Cycles,
     /// Lease lifetime granted on each placement and renewed by every
     /// heartbeat ack; expiry (after a further
-    /// [`GacConfig::dead_timeout`] grace) revokes and re-places the job
+    /// [`NetGacConfig::dead_timeout`] grace) revokes and re-places the job
     /// like an evacuation. `Cycles::ZERO` (the default) disables leasing.
     pub lease_ttl: Cycles,
 }
@@ -452,7 +492,10 @@ pub struct NetGacConfig {
 impl Default for NetGacConfig {
     fn default() -> Self {
         Self {
-            gac: GacConfig::default(),
+            max_retries: 3,
+            suspect_after: 2,
+            dead_after: 4,
+            dead_timeout: Cycles::new(30_000),
             rto: Cycles::new(100),
             retry_interval: Cycles::new(500),
             heartbeat_every: Cycles::ZERO,
@@ -720,7 +763,7 @@ impl NetGac {
         // Any open conversation with the node died with its old process.
         if let Some(conv) = self.current.take() {
             if conv.node == node {
-                self.fail_task(conv.task, node, recorder);
+                self.fail_task(conv.task, node);
             } else {
                 self.current = Some(conv);
             }
@@ -734,6 +777,17 @@ impl NetGac {
         self.nodes[i].drain_pending = 0;
         self.set_health(i, NodeHealth::Healthy, recorder);
         self.nodes[i].member = MemberState::Joining;
+        self.reconcile_next(node);
+    }
+
+    /// Queues an immediate reconciliation of `node`, whose table changed
+    /// without a conversation (a restart or a capacity fault). A dead
+    /// node's placements are evacuation's business, so it is skipped.
+    fn reconcile_next(&mut self, node: NodeId) {
+        let i = node.as_usize();
+        if self.nodes[i].health == NodeHealth::Dead {
+            return;
+        }
         self.nodes[i].needs_reconcile = true;
         if !self.nodes[i].reconcile_queued {
             self.nodes[i].reconcile_queued = true;
@@ -741,10 +795,14 @@ impl NetGac {
         }
     }
 
-    /// Number of nodes under this controller.
+    /// Number of nodes that take placements: `Live` members that are not
+    /// dead.
     #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    pub fn live_nodes(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| n.member == MemberState::Live && n.health != NodeHealth::Dead)
+            .count()
     }
 
     /// Current placements (job → node and the GAC's copy of the
@@ -804,7 +862,7 @@ impl NetGac {
         // `expire_leases` fires on strict `now > until + grace`, hence +1.
         let lease = (self.config.lease_ttl > Cycles::ZERO)
             .then(|| {
-                let grace = self.config.gac.dead_timeout;
+                let grace = self.config.dead_timeout;
                 self.leases
                     .values()
                     .map(|&until| until + grace + Cycles::new(1))
@@ -831,16 +889,7 @@ impl NetGac {
         for job in done {
             let (_, r) = self.placements.remove(&job).expect("collected above");
             self.leases.remove(&job);
-            self.completed.insert(job);
-            if recorder.enabled() {
-                recorder.record(
-                    r.end,
-                    Event::Completed {
-                        job,
-                        met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                    },
-                );
-            }
+            self.retire(&r, recorder);
         }
         self.expire_leases(recorder);
     }
@@ -855,7 +904,7 @@ impl NetGac {
         if self.config.lease_ttl == Cycles::ZERO {
             return;
         }
-        let grace = self.config.gac.dead_timeout;
+        let grace = self.config.dead_timeout;
         let expired: Vec<JobId> = self
             .leases
             .iter()
@@ -871,16 +920,7 @@ impl NetGac {
                 // The reservation ran out before the grace did; the job
                 // completed (retirement just hadn't swept yet). Completed
                 // XOR revoked: completion wins.
-                self.completed.insert(job);
-                if recorder.enabled() {
-                    recorder.record(
-                        r.end,
-                        Event::Completed {
-                            job,
-                            met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                        },
-                    );
-                }
+                self.retire(&r, recorder);
                 continue;
             }
             if recorder.enabled() {
@@ -1122,12 +1162,7 @@ impl NetGac {
                     self.nodes[i].reconcile_queued = false;
                     return None;
                 }
-                let placed: Vec<JobId> = self
-                    .placements
-                    .iter()
-                    .filter(|(_, (n, _))| *n == node)
-                    .map(|(&job, _)| job)
-                    .collect();
+                let placed = self.placed_on(node);
                 let at = self.now;
                 Some(self.send_new(
                     node,
@@ -1249,18 +1284,18 @@ impl NetGac {
         }
         self.update_health(i, recorder);
         if self.nodes[i].health == NodeHealth::Dead {
-            self.fail_task(conv.task, conv.node, recorder);
+            self.fail_task(conv.task, conv.node);
             return false;
         }
         conv.attempts += 1;
-        if conv.attempts > self.config.gac.max_retries {
+        if conv.attempts > self.config.max_retries {
             // Abandon: everything sent under this epoch is now stale.
             self.stats.gave_up += 1;
             self.nodes[i].epoch += 1;
             if conv.body.needs_reconcile_on_give_up() {
                 self.flag_reconcile(conv.node);
             }
-            self.fail_task(conv.task, conv.node, recorder);
+            self.fail_task(conv.task, conv.node);
             return false;
         }
         self.stats.retransmits += 1;
@@ -1282,7 +1317,7 @@ impl NetGac {
 
     /// What happens to a task whose conversation was abandoned (or whose
     /// node died mid-conversation).
-    fn fail_task(&mut self, task: Task, node: NodeId, recorder: &mut dyn Recorder) {
+    fn fail_task(&mut self, task: Task, node: NodeId) {
         match task {
             Task::Place {
                 req,
@@ -1324,10 +1359,45 @@ impl NetGac {
                 // The next round re-beacons; the losses were already
                 // counted by the failure detector.
                 self.nodes[node.as_usize()].heartbeat_queued = false;
-            } // Recorder is threaded for symmetry with open(); nothing to
-              // record on the give-up itself beyond the probe losses above.
+            }
         }
-        let _ = recorder;
+    }
+
+    /// Renews the lease of every placement on `node` to
+    /// `now + lease_ttl`, returning how many it renewed.
+    fn renew_leases(&mut self, node: NodeId) -> u64 {
+        let until = self.now + self.config.lease_ttl;
+        let mut renewed = 0;
+        for (job, (n, _)) in &self.placements {
+            if *n == node {
+                if let Some(lease) = self.leases.get_mut(job) {
+                    *lease = until;
+                    renewed += 1;
+                }
+            }
+        }
+        renewed
+    }
+
+    /// The jobs placed on `node`.
+    fn placed_on(&self, node: NodeId) -> Vec<JobId> {
+        let on_node = self.placements.iter().filter(|(_, (n, _))| *n == node);
+        on_node.map(|(&job, _)| job).collect()
+    }
+
+    /// Records `r`'s job as completed at the end of its window.
+    fn retire(&mut self, r: &Reservation, recorder: &mut dyn Recorder) {
+        self.completed.insert(r.id);
+        if recorder.enabled() {
+            let met_deadline = r.deadline.is_none_or(|d| r.end <= d);
+            recorder.record(
+                r.end,
+                Event::Completed {
+                    job: r.id,
+                    met_deadline,
+                },
+            );
+        }
     }
 
     /// Grants (or renews) a freshly-placed job's lease.
@@ -1384,7 +1454,7 @@ impl NetGac {
     fn update_health(&mut self, i: usize, recorder: &mut dyn Recorder) {
         let losses = self.nodes[i].consecutive_losses;
         let silent_for = self.now.saturating_sub(self.nodes[i].last_heard);
-        let cfg = &self.config.gac;
+        let cfg = &self.config;
         let target = if losses >= cfg.dead_after && silent_for >= cfg.dead_timeout {
             NodeHealth::Dead
         } else if losses >= cfg.suspect_after {
@@ -1454,17 +1524,12 @@ impl NetGac {
         // A conversation with the dead node can never complete.
         if let Some(conv) = self.current.take() {
             if conv.node == node {
-                self.fail_task(conv.task, node, recorder);
+                self.fail_task(conv.task, node);
             } else {
                 self.current = Some(conv);
             }
         }
-        let stranded: Vec<JobId> = self
-            .placements
-            .iter()
-            .filter(|(_, (n, _))| *n == node)
-            .map(|(&job, _)| job)
-            .collect();
+        let stranded = self.placed_on(node);
         for job in stranded {
             let (_, r) = self.placements.remove(&job).expect("collected above");
             self.leases.remove(&job);
@@ -1486,16 +1551,18 @@ impl NetGac {
                 ReplyBody::Decision(d),
             ) => match *d {
                 Decision::Accepted { start } => {
-                    let r = Reservation {
-                        id: req.id,
-                        start,
-                        end: start + req.tw,
-                        request: req.request,
-                        mode: req.mode,
-                        deadline: req.deadline,
-                    };
-                    self.placements.insert(req.id, (conv.node, r));
-                    self.grant_lease(req.id);
+                    // The placement view mirrors the reservation the node
+                    // booked. An Opportunistic job books none: it holds
+                    // no placement and its admission is its whole life.
+                    match req.reservation_at(start) {
+                        Some(r) => {
+                            self.placements.insert(req.id, (conv.node, r));
+                            self.grant_lease(req.id);
+                        }
+                        None => {
+                            self.completed.insert(req.id);
+                        }
+                    }
                     self.decisions.insert(req.id, (Some(conv.node), *d));
                     if recorder.enabled() {
                         recorder.record(
@@ -1581,12 +1648,7 @@ impl NetGac {
             ) => {
                 let i = node.as_usize();
                 let held: BTreeSet<JobId> = held.iter().copied().collect();
-                let mine: Vec<JobId> = self
-                    .placements
-                    .iter()
-                    .filter(|(_, (n, _))| *n == node)
-                    .map(|(&job, _)| job)
-                    .collect();
+                let mine = self.placed_on(node);
                 let mut repaired = 0u64;
                 for job in mine {
                     if held.contains(&job) {
@@ -1597,16 +1659,7 @@ impl NetGac {
                     if r.end <= *lac_now {
                         // The node ran it to completion while we were out
                         // of touch.
-                        self.completed.insert(job);
-                        if recorder.enabled() {
-                            recorder.record(
-                                r.end,
-                                Event::Completed {
-                                    job,
-                                    met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                                },
-                            );
-                        }
+                        self.retire(&r, recorder);
                     } else {
                         repaired += 1;
                         self.tasks.push_back(Task::Readmit {
@@ -1641,12 +1694,7 @@ impl NetGac {
                     }
                 }
                 if self.config.lease_ttl > Cycles::ZERO && !self.nodes[i].lease_frozen {
-                    let until = self.now + self.config.lease_ttl;
-                    for (&job, lease) in &mut self.leases {
-                        if self.placements.get(&job).is_some_and(|(n, _)| *n == node) {
-                            *lease = until;
-                        }
-                    }
+                    let _ = self.renew_leases(node);
                 }
             }
             (Task::Ping { node }, ReplyBody::Summary { .. }) => {
@@ -1656,14 +1704,7 @@ impl NetGac {
                 let i = node.as_usize();
                 self.nodes[i].heartbeat_queued = false;
                 if self.config.lease_ttl > Cycles::ZERO && !self.nodes[i].lease_frozen {
-                    let until = self.now + self.config.lease_ttl;
-                    let mut renewed = 0u64;
-                    for (&job, lease) in &mut self.leases {
-                        if self.placements.get(&job).is_some_and(|(n, _)| *n == node) {
-                            *lease = until;
-                            renewed += 1;
-                        }
-                    }
+                    let renewed = self.renew_leases(node);
                     if renewed > 0 && recorder.enabled() {
                         recorder.record(
                             self.now,
@@ -1696,27 +1737,13 @@ impl NetGac {
                 // and the set the node *thinks* it released can predate a
                 // migration the GAC already performed.
                 let i = node.as_usize();
-                let mine: Vec<JobId> = self
-                    .placements
-                    .iter()
-                    .filter(|(_, (n, _))| *n == node)
-                    .map(|(&job, _)| job)
-                    .collect();
+                let mine = self.placed_on(node);
                 let mut pending = 0u32;
                 for job in mine {
                     let (_, r) = self.placements.remove(&job).expect("iterated above");
                     self.leases.remove(&job);
                     if r.end <= *lac_now {
-                        self.completed.insert(job);
-                        if recorder.enabled() {
-                            recorder.record(
-                                r.end,
-                                Event::Completed {
-                                    job,
-                                    met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                                },
-                            );
-                        }
+                        self.retire(&r, recorder);
                     } else {
                         pending += 1;
                         self.tasks.push_back(Task::Readmit {
@@ -1737,7 +1764,7 @@ impl NetGac {
                 // A well-formed endpoint never answers a request with the
                 // wrong reply shape; treat it as a failed conversation.
                 self.stats.stale_replies += 1;
-                self.fail_task(task, conv.node, recorder);
+                self.fail_task(task, conv.node);
             }
         }
     }
@@ -1846,75 +1873,6 @@ impl<B: LacBackend> Cluster<B> {
         self.gac.drain_node(node, self.now);
     }
 
-    /// Applies one fault injection to the control plane. Link faults act
-    /// on the network (the GAC cannot observe them directly — it only
-    /// sees its probes go unanswered); node faults kill the node;
-    /// probe-loss faults drop the next frames toward the node. Way/core
-    /// faults are node-local capacity events outside this control plane
-    /// and are ignored here.
-    pub fn apply(&mut self, injection: Injection, recorder: &mut dyn Recorder) {
-        let at = injection.at;
-        self.now = self.now.max(at);
-        let node = injection.fault.node();
-        if node.as_usize() >= self.endpoints.len() {
-            return;
-        }
-        if recorder.enabled() {
-            recorder.record(
-                at,
-                Event::FaultInjected {
-                    node,
-                    fault: injection.fault.obs_kind(),
-                },
-            );
-        }
-        match injection.fault {
-            Fault::LinkPartition { .. } => {
-                self.net.partition(Addr::Gac, Addr::Node(node));
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkPartitioned { node });
-                }
-            }
-            Fault::LinkHeal { .. } => {
-                self.net.heal(Addr::Gac, Addr::Node(node));
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkHealed { node });
-                }
-            }
-            Fault::MessageDrop { count, .. } => {
-                self.net.force_drops(Addr::Gac, Addr::Node(node), count);
-                if recorder.enabled() {
-                    recorder.record(at, Event::MessageDropped { node });
-                }
-            }
-            Fault::ProbeLoss { count, .. } => {
-                self.net.force_drops(Addr::Gac, Addr::Node(node), count);
-            }
-            Fault::NodeFault { .. } => {
-                self.gac.kill_node(node, at, recorder);
-            }
-            Fault::NodeRestart { .. } => {
-                self.restart_node(node, at, recorder);
-            }
-            Fault::NodeDrain { .. } => {
-                self.gac.drain_node(node, at);
-            }
-            Fault::LeaseFreeze { .. } => {
-                self.gac.freeze_leases(node);
-            }
-            // Way/core faults are node-local capacity events; a controller
-            // crash is the recovery harness's concern. Neither is a
-            // control-plane message fault. A join needs a backend for the
-            // new endpoint, which a generic injection cannot supply — use
-            // [`Cluster::join_node`]. (The bounds check above already
-            // returns early for joins, since they name the next index.)
-            Fault::WayFault { .. }
-            | Fault::CoreFault { .. }
-            | Fault::ControllerCrash { .. }
-            | Fault::NodeJoin { .. } => {}
-        }
-    }
-
     /// Advances the cluster to `until`, processing every frame delivery,
     /// retransmission timeout, and parked-task wake along the way in
     /// `(cycle, event)` order.
@@ -1977,7 +1935,122 @@ impl<B: LacBackend> Cluster<B> {
     }
 }
 
+impl<B: CapacityBackend> Cluster<B> {
+    /// Applies one fault injection. Link faults act on the network (the
+    /// GAC cannot observe them directly — it only sees its conversations
+    /// go unanswered); probe-loss and message-drop faults drop the next
+    /// frames toward the node; node faults kill the node; way and core
+    /// faults shrink the node's own capacity, which downgrades Elastic
+    /// reservations in place or evicts them — the node is then reconciled
+    /// and the GAC re-places whatever it lost. A controller crash is the
+    /// recovery harness's to realize, and a join needs a backend
+    /// ([`Cluster::join_node`]); both are ignored here.
+    pub fn apply(&mut self, injection: Injection, recorder: &mut dyn Recorder) {
+        let at = injection.at;
+        self.now = self.now.max(at);
+        let node = injection.fault.node();
+        let i = node.as_usize();
+        if i >= self.endpoints.len() {
+            return;
+        }
+        if recorder.enabled() {
+            recorder.record(
+                at,
+                Event::FaultInjected {
+                    node,
+                    fault: injection.fault.obs_kind(),
+                },
+            );
+        }
+        match injection.fault {
+            Fault::LinkPartition { .. } => {
+                self.net.partition(Addr::Gac, Addr::Node(node));
+                if recorder.enabled() {
+                    recorder.record(at, Event::LinkPartitioned { node });
+                }
+            }
+            Fault::LinkHeal { .. } => {
+                self.net.heal(Addr::Gac, Addr::Node(node));
+                if recorder.enabled() {
+                    recorder.record(at, Event::LinkHealed { node });
+                }
+            }
+            Fault::MessageDrop { count, .. } => {
+                self.net.force_drops(Addr::Gac, Addr::Node(node), count);
+                if recorder.enabled() {
+                    recorder.record(at, Event::MessageDropped { node });
+                }
+            }
+            Fault::ProbeLoss { count, .. } => {
+                self.net.force_drops(Addr::Gac, Addr::Node(node), count);
+            }
+            Fault::WayFault { .. } => {
+                self.shrink(node, ResourceRequest::new(0, Ways::new(1)), at, recorder);
+            }
+            Fault::CoreFault { .. } => {
+                self.shrink(node, ResourceRequest::new(1, Ways::ZERO), at, recorder);
+            }
+            Fault::NodeFault { .. } => {
+                self.gac.kill_node(node, at, recorder);
+            }
+            Fault::NodeRestart { .. } => {
+                self.restart_node(node, at, recorder);
+            }
+            Fault::NodeDrain { .. } => {
+                self.gac.drain_node(node, at);
+            }
+            Fault::LeaseFreeze { .. } => {
+                self.gac.freeze_leases(node);
+            }
+            Fault::ControllerCrash { .. } | Fault::NodeJoin { .. } => {}
+        }
+    }
+
+    /// Removes `lost` from `node`'s capacity at `at`. Downgrades are
+    /// reported as they happen; evictions surface through the
+    /// reconciliation queued here.
+    fn shrink(
+        &mut self,
+        node: NodeId,
+        lost: ResourceRequest,
+        at: Cycles,
+        recorder: &mut dyn Recorder,
+    ) {
+        let backend = self.endpoints[node.as_usize()].backend_mut();
+        let shrunk = backend.capacity().minus(&lost);
+        for rev in backend.revoke_capacity(shrunk, at) {
+            if let RevocationAction::Downgraded { ways_cut } = rev.action {
+                if recorder.enabled() {
+                    recorder.record(
+                        at,
+                        Event::DowngradedUnderFault {
+                            job: rev.id,
+                            node,
+                            ways_cut,
+                        },
+                    );
+                }
+            }
+        }
+        self.gac.reconcile_next(node);
+    }
+}
+
 impl Cluster<Lac> {
+    /// An in-process server: `nodes` plain [`Lac`]s behind a lossless,
+    /// zero-latency link, so every conversation completes in the instant
+    /// it opens and only injected faults can lose a frame.
+    #[must_use]
+    pub fn in_process(
+        nodes: usize,
+        lac: crate::lac::LacConfig,
+        config: NetGacConfig,
+        policy: ProbePolicy,
+    ) -> Self {
+        let link = LinkConfig::default().base_latency(Cycles::ZERO);
+        Self::new(nodes, lac, 0, link, config, policy)
+    }
+
     /// A cluster of `nodes` plain [`Lac`]s with identical configuration.
     #[must_use]
     pub fn new(
@@ -2006,6 +2079,7 @@ mod tests {
     use crate::target::ResourceRequest;
     use cmpqos_faults::FaultPlan;
     use cmpqos_obs::{NullRecorder, RingBufferRecorder};
+    use cmpqos_types::Percent;
 
     fn request(id: u32) -> AdmissionRequest {
         AdmissionRequest::builder(
@@ -2431,9 +2505,7 @@ mod tests {
     #[test]
     fn heartbeats_renew_leases_and_a_freeze_expires_them() {
         let config = NetGacConfig {
-            gac: GacConfig::builder()
-                .dead_timeout(Cycles::new(2_000))
-                .build(),
+            dead_timeout: Cycles::new(2_000),
             heartbeat_every: Cycles::new(500),
             lease_ttl: Cycles::new(2_000),
             ..NetGacConfig::default()
@@ -2490,5 +2562,240 @@ mod tests {
             )
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// An in-process server: the lossless, zero-latency cluster.
+    fn server(nodes: usize, policy: ProbePolicy) -> Cluster<Lac> {
+        Cluster::in_process(nodes, LacConfig::default(), NetGacConfig::default(), policy)
+    }
+
+    /// Submits a Strict paper job at `at` whose tight deadline forces an
+    /// immediate start, settles the instant, and returns the decision.
+    fn place_tight(cluster: &mut Cluster<Lac>, id: u32, at: u64) -> (Option<NodeId>, Decision) {
+        let at = Cycles::new(at);
+        let req = AdmissionRequest::builder(
+            JobId::new(id),
+            ResourceRequest::paper_job(),
+            Cycles::new(100),
+        )
+        .deadline(at + Cycles::new(105))
+        .build();
+        cluster.gac_mut().submit(req, at, &mut NullRecorder);
+        cluster.run_until(at, &mut NullRecorder);
+        cluster.gac().decisions()[&JobId::new(id)]
+    }
+
+    fn inject(cluster: &mut Cluster<Lac>, plan: FaultPlan, rec: &mut dyn Recorder) {
+        for &injection in plan.build().injections() {
+            cluster.apply(injection, rec);
+        }
+    }
+
+    #[test]
+    fn placement_windows_match_the_reservation_the_node_booked() {
+        let mut cluster = server(1, ProbePolicy::FirstFit);
+        let mut rec = NullRecorder;
+        let elastic = AdmissionRequest::builder(
+            JobId::new(0),
+            ResourceRequest::paper_job(),
+            Cycles::new(1_000),
+        )
+        .mode(ExecutionMode::Elastic(Percent::new(50.0)))
+        .build();
+        let opportunistic = AdmissionRequest::builder(
+            JobId::new(1),
+            ResourceRequest::new(1, Ways::ZERO),
+            Cycles::new(1_000),
+        )
+        .mode(ExecutionMode::Opportunistic)
+        .build();
+        cluster.gac_mut().submit(elastic, Cycles::ZERO, &mut rec);
+        cluster
+            .gac_mut()
+            .submit(opportunistic, Cycles::ZERO, &mut rec);
+        cluster.run_until(Cycles::ZERO, &mut rec);
+        // The Elastic view spans tw·(1+X), exactly the node's booking.
+        let held = cluster.endpoint(NodeId::new(0)).backend().reservations();
+        let (_, placed) = cluster.gac().placements()[&JobId::new(0)];
+        assert_eq!(held.len(), 1);
+        assert_eq!((placed.start, placed.end), (held[0].start, held[0].end));
+        assert_eq!(placed.end, Cycles::new(1_500));
+        // An Opportunistic job books nothing, so it holds no placement.
+        assert!(cluster.gac().decisions()[&JobId::new(1)].1.is_accepted());
+        assert!(!cluster.gac().placements().contains_key(&JobId::new(1)));
+        assert!(cluster.gac().completed().contains(&JobId::new(1)));
+        // Past tw the node still honors the Elastic reservation, and so
+        // does the view; it retires only when the booking ends.
+        cluster.run_until(Cycles::new(1_200), &mut rec);
+        assert!(cluster.gac().placements().contains_key(&JobId::new(0)));
+        cluster.run_until(Cycles::new(1_500), &mut rec);
+        assert!(cluster.gac().placements().is_empty());
+        assert!(cluster.gac().completed().contains(&JobId::new(0)));
+    }
+
+    #[test]
+    fn rejects_with_the_last_genuine_reason_when_all_nodes_are_full() {
+        let mut cluster = server(1, ProbePolicy::FirstFit);
+        let _ = place_tight(&mut cluster, 0, 0);
+        let _ = place_tight(&mut cluster, 1, 0);
+        assert_eq!(
+            place_tight(&mut cluster, 2, 0),
+            (
+                None,
+                Decision::Rejected(RejectReason::NoCapacityBeforeDeadline)
+            )
+        );
+    }
+
+    #[test]
+    fn least_loaded_spreads_jobs() {
+        let mut cluster = server(2, ProbePolicy::LeastLoaded);
+        assert_eq!(place_tight(&mut cluster, 0, 0).0, Some(NodeId::new(0)));
+        assert_eq!(place_tight(&mut cluster, 1, 0).0, Some(NodeId::new(1)));
+        assert_eq!(cluster.gac().placements().len(), 2);
+    }
+
+    #[test]
+    fn lost_probes_are_retransmitted_then_placed() {
+        let mut cluster = server(1, ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        inject(
+            &mut cluster,
+            FaultPlan::new().probe_loss(Cycles::ZERO, NodeId::new(0), 2),
+            &mut rec,
+        );
+        cluster
+            .gac_mut()
+            .submit(long_request(0), Cycles::ZERO, &mut rec);
+        cluster.run_until(Cycles::new(5_000), &mut rec);
+        assert_eq!(
+            cluster.gac().decisions()[&JobId::new(0)].0,
+            Some(NodeId::new(0))
+        );
+        assert_eq!(rec.counters().probes_lost, 2);
+        assert_eq!(cluster.gac().stats().retransmits, 2);
+        assert_eq!(
+            cluster.gac().node_health(NodeId::new(0)),
+            NodeHealth::Healthy
+        );
+    }
+
+    #[test]
+    fn a_silent_node_dies_only_after_the_dead_timeout() {
+        let mut cluster = server(2, ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(512);
+        inject(
+            &mut cluster,
+            FaultPlan::new().link_partition(Cycles::ZERO, NodeId::new(0)),
+            &mut rec,
+        );
+        cluster
+            .gac_mut()
+            .submit(long_request(0), Cycles::ZERO, &mut rec);
+        // Losses pile up at once, but silence shorter than the 30k
+        // timeout only proves the link is down: Suspect, not Dead.
+        cluster.run_until(Cycles::new(10_000), &mut rec);
+        assert_eq!(
+            cluster.gac().decisions()[&JobId::new(0)].0,
+            Some(NodeId::new(1))
+        );
+        assert_eq!(
+            cluster.gac().node_health(NodeId::new(0)),
+            NodeHealth::Suspect
+        );
+        // Past the timeout the still-unanswered pings declare it dead.
+        cluster.run_until(Cycles::new(60_000), &mut rec);
+        assert_eq!(cluster.gac().node_health(NodeId::new(0)), NodeHealth::Dead);
+        assert_eq!(rec.counters().node_health_changes, 2);
+    }
+
+    #[test]
+    fn a_dead_lone_node_revokes_its_jobs_and_rejects_new_ones() {
+        let mut cluster = server(1, ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        cluster
+            .gac_mut()
+            .submit(long_request(0), Cycles::ZERO, &mut rec);
+        cluster.run_until(Cycles::ZERO, &mut rec);
+        inject(
+            &mut cluster,
+            FaultPlan::new().node_fault(Cycles::new(10), NodeId::new(0)),
+            &mut rec,
+        );
+        // No survivor can take the stranded job: revoked with a reason.
+        cluster.run_until(Cycles::new(10), &mut rec);
+        assert!(cluster.gac().revoked().contains(&JobId::new(0)));
+        assert!(cluster.gac().placements().is_empty(), "nothing stranded");
+        assert_eq!(rec.counters().reservations_revoked, 1);
+        assert_eq!(
+            place_tight(&mut cluster, 1, 20),
+            (None, Decision::Rejected(RejectReason::NoHealthyNodes))
+        );
+    }
+
+    #[test]
+    fn way_fault_downgrades_elastic_and_evicts_what_cannot_fit() {
+        // Two Elastic(50%) jobs of 8 ways each fill all 16 ways.
+        let mut cluster = server(1, ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        for i in 0..2u32 {
+            let req = AdmissionRequest::builder(
+                JobId::new(i),
+                ResourceRequest::new(1, Ways::new(8)),
+                Cycles::new(100),
+            )
+            .mode(ExecutionMode::Elastic(Percent::new(50.0)))
+            .build();
+            cluster.gac_mut().submit(req, Cycles::ZERO, &mut rec);
+        }
+        cluster.run_until(Cycles::ZERO, &mut rec);
+        inject(
+            &mut cluster,
+            FaultPlan::new().way_fault(Cycles::ZERO, NodeId::new(0), 3),
+            &mut rec,
+        );
+        cluster.run_until(Cycles::ZERO, &mut rec);
+        // FCFS: job 0 keeps its 8 ways; job 1 absorbs the loss by giving
+        // up one way (within its floor(8 · 0.5) = 4-way slack) and stays
+        // on the node.
+        assert_eq!(rec.counters().downgraded_under_fault, 1);
+        assert_eq!(rec.counters().reservations_revoked, 0);
+        assert_eq!(cluster.gac().placements().len(), 2);
+        let total: u16 = cluster
+            .endpoint(NodeId::new(0))
+            .backend()
+            .reservations()
+            .iter()
+            .map(|r| r.request.cache_ways().get())
+            .sum();
+        assert_eq!(total, 15, "8 kept + 7 downgraded fits 15 ways");
+
+        // A Strict job has no slack: once three dead ways leave 13, the
+        // second 7-way job is evicted and the reconciliation re-places it
+        // on the survivor.
+        let mut cluster = server(2, ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(128);
+        for i in 0..2u32 {
+            cluster
+                .gac_mut()
+                .submit(long_request(i), Cycles::ZERO, &mut rec);
+        }
+        cluster.run_until(Cycles::ZERO, &mut rec);
+        let mut plan = FaultPlan::new();
+        for way in 0..3 {
+            plan = plan.way_fault(Cycles::new(10), NodeId::new(0), way);
+        }
+        inject(&mut cluster, plan, &mut rec);
+        cluster.run_until(Cycles::new(10), &mut rec);
+        assert_eq!(
+            cluster.gac().placements()[&JobId::new(1)].0,
+            NodeId::new(1),
+            "the evicted job migrated"
+        );
+        assert_eq!(rec.counters().migrated, 1);
+        assert_eq!(rec.counters().reconciled, 1);
+        let held = cluster.endpoint(NodeId::new(0)).backend().reservations();
+        assert_eq!(held.len(), 1);
+        assert_eq!(held[0].id, JobId::new(0));
     }
 }

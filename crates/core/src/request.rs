@@ -14,12 +14,14 @@
 //! differentially testable.
 
 use crate::epoch::SloSpec;
+use crate::lac::Reservation;
 use crate::modes::ExecutionMode;
 use crate::target::ResourceRequest;
 use cmpqos_types::{Cycles, JobId, SourceId};
 
 /// Where in the timeline the LAC should place the reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// The earliest feasible slot at or after `now` (Section 5 FCFS).
     #[default]
@@ -57,6 +59,7 @@ pub enum Placement {
 /// assert!(lac.admit(&req).is_accepted());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct AdmissionRequest {
     /// The job asking for admission.
@@ -98,6 +101,29 @@ impl AdmissionRequest {
                 slo: None,
             },
         }
+    }
+
+    /// The reservation a LAC books when it accepts this request at
+    /// `start`, or `None` for an Opportunistic job, which holds none.
+    ///
+    /// The window is `mode.reservation_duration(tw)` long (`tw·(1+X)` for
+    /// Elastic(X)); a latest-feasible request with a deadline is booked
+    /// as a `tw`-long Strict reservation. The LAC and the GAC's placement
+    /// view both derive the window here, so they cannot disagree.
+    #[must_use]
+    pub fn reservation_at(&self, start: Cycles) -> Option<Reservation> {
+        let (mode, duration) = match (self.placement, self.deadline) {
+            (Placement::LatestFeasible, Some(_)) => (ExecutionMode::Strict, self.tw),
+            _ => (self.mode, self.mode.reservation_duration(self.tw)?),
+        };
+        Some(Reservation {
+            id: self.id,
+            start,
+            end: start + duration,
+            request: self.request,
+            mode,
+            deadline: self.deadline,
+        })
     }
 }
 

@@ -438,42 +438,44 @@ fn component_benches(params: &ExperimentParams) -> Vec<ComponentBench> {
         });
     }
 
-    // The elastic-membership heartbeat hot path: one full lease-renewal
-    // sweep over a 128-node cluster holding 256 leased placements per
-    // iteration. The sweep is O(nodes + leases) — each lease carries its
-    // placement node — and must stay under the microsecond bar so
-    // heartbeat rounds are invisible next to admission work even at
-    // 100+-node scale. CI derives sweeps/sec as `1e9 / ns_per_iter`.
+    // The elastic-membership heartbeat hot path: one full heartbeat round
+    // of an in-process 128-node cluster holding 256 leased placements per
+    // iteration — 128 beacon conversations, each ack renewing its node's
+    // leases. CI derives rounds/sec as `1e9 / ns_per_iter`.
     {
         use cmpqos_core::{
-            ExecutionMode, GacConfig, GlobalAdmissionController, LacConfig, ProbePolicy,
-            ResourceRequest,
+            AdmissionRequest, Cluster, LacConfig, NetGacConfig, ProbePolicy, ResourceRequest,
         };
         use cmpqos_types::{Cycles, JobId};
-        let mut gac =
-            GlobalAdmissionController::new(128, LacConfig::default(), ProbePolicy::LeastLoaded)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .lease_ttl(Cycles::new(1_000_000))
-                        .build(),
-                );
+        let every = Cycles::new(10);
+        let config = NetGacConfig {
+            heartbeat_every: every,
+            lease_ttl: Cycles::new(1_000_000),
+            ..NetGacConfig::default()
+        };
+        let mut cluster =
+            Cluster::in_process(128, LacConfig::default(), config, ProbePolicy::LeastLoaded);
+        let mut rec = cmpqos_obs::NullRecorder;
         for i in 0..256u32 {
-            let (node, _) = gac.submit(
+            let req = AdmissionRequest::builder(
                 JobId::new(i),
-                ExecutionMode::Strict,
                 ResourceRequest::paper_job(),
                 Cycles::new(1_000_000_000),
-                None,
-            );
-            assert!(node.is_some(), "job {i} places on the 128-node cluster");
+            )
+            .build();
+            cluster.gac_mut().submit(req, Cycles::ZERO, &mut rec);
         }
-        let mut rec = cmpqos_obs::NullRecorder;
-        let mut hb = Cycles::ZERO;
-        timed("heartbeat_tick_128_nodes", 100_000, &mut || {
-            hb += Cycles::new(10);
-            gac.heartbeat_all(hb, &mut rec);
+        cluster.run_until(Cycles::ZERO, &mut rec);
+        assert_eq!(cluster.gac().placements().len(), 256, "every job places");
+        timed("heartbeat_round_128_nodes", 1_000, &mut || {
+            let next = cluster.now() + every;
+            cluster.run_until(next, &mut rec);
         });
-        assert_eq!(gac.leases().len(), 256, "every placement stays leased");
+        assert_eq!(
+            cluster.gac().leases().len(),
+            256,
+            "every placement stays leased"
+        );
     }
 
     // JSONL timeline parsing (the observability read path).

@@ -1,5 +1,6 @@
 //! Runs the chaos cell: the Fig. 7-flavoured admission workload on a
-//! three-node server under a seeded fault schedule (plus a guaranteed
+//! three-node in-process server (the GAC's cluster over a lossless,
+//! zero-latency link) under a seeded fault schedule (plus a guaranteed
 //! whole-node death halfway through). Prints the per-job survival table,
 //! asserts that no reservation was silently stranded, and verifies the
 //! run's event stream round-trips through JSONL back into an identical

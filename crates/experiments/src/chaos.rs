@@ -6,32 +6,30 @@
 //! The experiment answers the robustness question the paper leaves open:
 //! when hardware degrades after admission, which QoS promises survive?
 //! Every consequence — revalidation, downgrade-within-slack, migration,
-//! revocation, probe retry/backoff, health transitions — streams through
+//! revocation, probe retransmission, health transitions — streams through
 //! `cmpqos-obs`, so the run is fully reconstructible from its event log.
 //!
-//! The harness simulates at the reservation level (the GAC's own model of
-//! time), not cycle-accurately: job durations are taken at face value and
-//! a job completes when its reservation window closes. That keeps chaos
-//! runs fast enough to sweep seeds while exercising the exact admission,
-//! revocation and failover code the schedulers run in production.
+//! The basic cell runs the GAC in process: a [`Cluster`] over a lossless,
+//! zero-latency link, journaled so `--crash-at` can rebuild it. The harness
+//! simulates at the reservation level (the GAC's own model of time), not
+//! cycle-accurately: a job completes when its reservation window closes.
+//! That keeps chaos runs fast enough to sweep seeds while exercising the
+//! exact admission, revocation and failover code the schedulers run in
+//! production. The `--net` and `--churn` cells run the same GAC over a
+//! lossy network.
 
-use cmpqos_core::gac::FaultReport;
 use cmpqos_core::{
-    AdmissionRequest, Cluster, Decision, ExecutionMode, GlobalAdmissionController, Lac, LacConfig,
-    MemberState, NetGacConfig, NetGacStats, NodeHealth, ProbePolicy, ResourceRequest,
+    AdmissionRequest, Cluster, Decision, ExecutionMode, Lac, LacConfig, MemberState, NetGac,
+    NetGacConfig, NetGacStats, NodeHealth, ProbePolicy, ResourceRequest,
 };
 use cmpqos_faults::{Fault, FaultPlan, FaultSchedule, Injection};
 use cmpqos_net::{LinkConfig, NetStats};
-use cmpqos_obs::{Counters, Event, Health, Record, Recorder, RingBufferRecorder, Timeline};
-use cmpqos_recovery::JournaledGac;
+use cmpqos_obs::{
+    Counters, Event, EventKind, Health, Record, Recorder, RingBufferRecorder, Timeline,
+};
+use cmpqos_recovery::JournaledCluster;
 use cmpqos_types::{Cycles, JobId, NodeId, Percent};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
-
-/// Journal compaction interval for the chaos GAC: small enough to exercise
-/// compaction in every standard run, large enough to leave a replayable
-/// tail after the snapshot.
-const COMPACT_EVERY: u64 = 64;
 
 /// Knobs for one chaos run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,12 +183,9 @@ impl JobFate {
 pub struct ChaosOutcome {
     /// Per-job dispositions, in submission order.
     pub fates: Vec<JobFate>,
-    /// The merged fault consequences (downgrades, migrations,
-    /// revocations).
-    pub faults: FaultReport,
     /// The full event stream, in emission order.
     pub records: Vec<Record>,
-    /// Nodes still alive at the end.
+    /// Nodes still taking placements at the end.
     pub live_nodes: usize,
 }
 
@@ -206,6 +201,15 @@ impl ChaosOutcome {
             .collect()
     }
 
+    /// How many events of `kind` the run emitted.
+    #[must_use]
+    pub fn count(&self, kind: EventKind) -> usize {
+        self.records
+            .iter()
+            .filter(|r| r.event.kind() == kind)
+            .count()
+    }
+
     /// The [`Timeline`] reconstructed from the emitted records.
     #[must_use]
     pub fn timeline(&self) -> Timeline {
@@ -217,7 +221,7 @@ impl ChaosOutcome {
 /// arriving every `horizon/(2*jobs)` cycles, alternating Strict and
 /// Elastic(50%), each lasting `horizon/6` with three durations of
 /// deadline slack.
-fn arrivals(params: &ChaosParams) -> Vec<(Cycles, JobId, ExecutionMode, Cycles, Cycles)> {
+fn arrivals(params: &ChaosParams) -> Vec<(Cycles, AdmissionRequest)> {
     let tw = Cycles::new((params.horizon.get() / 6).max(1));
     let stagger = (params.horizon.get() / (2 * u64::from(params.jobs).max(1))).max(1);
     (0..params.jobs)
@@ -228,16 +232,19 @@ fn arrivals(params: &ChaosParams) -> Vec<(Cycles, JobId, ExecutionMode, Cycles, 
             } else {
                 ExecutionMode::Elastic(Percent::new(50.0))
             };
-            let deadline = at + tw + tw + tw;
-            (at, JobId::new(i), mode, tw, deadline)
+            let req = AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), tw)
+                .mode(mode)
+                .deadline(at + tw + tw + tw)
+                .build();
+            (at, req)
         })
         .collect()
 }
 
-/// Runs the chaos cell: submits the arrival stream while draining
-/// `schedule` into the GAC, then lets surviving reservations finish.
+/// Runs the chaos cell: submits the arrival stream while applying
+/// `schedule` to the GAC, then lets surviving reservations finish.
 #[must_use]
-pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
+pub fn run(params: &ChaosParams, schedule: FaultSchedule) -> ChaosOutcome {
     let mut rec = RingBufferRecorder::new(16_384);
     rec.record(
         Cycles::ZERO,
@@ -250,124 +257,94 @@ pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
     );
     // LeastLoaded spreads the stream across every node, so a mid-run node
     // death actually has victims to fail over (FirstFit would pack node 0
-    // and leave the doomed node idle). The controller is journaled so a
+    // and leave the doomed node idle). The cluster is journaled so a
     // `--crash-at` injection can drop it and rebuild it from the write-
     // ahead log mid-run.
-    let mut gac = JournaledGac::new(
-        GlobalAdmissionController::new(
-            params.nodes,
-            LacConfig::default(),
-            ProbePolicy::LeastLoaded,
-        ),
-        COMPACT_EVERY,
+    let mut cluster = JournaledCluster::new(
+        params.nodes,
+        LacConfig::default(),
+        NetGacConfig::default(),
+        ProbePolicy::LeastLoaded,
     );
-    let mut faults = FaultReport::default();
-    let mut pending = arrivals(params);
-    pending.reverse(); // pop() yields earliest-first
-    let mut fates: BTreeMap<JobId, JobFate> = BTreeMap::new();
-    let mut ends: BTreeMap<JobId, Cycles> = BTreeMap::new();
-
-    let step = Cycles::new((params.horizon.get() / 512).max(1));
-    let drain_until = Cycles::new(params.horizon.get().saturating_mul(4));
-    let mut t = Cycles::ZERO;
-    loop {
-        for injection in schedule.due(t) {
-            faults.merge(gac.inject(injection, &mut rec));
-            if matches!(injection.fault, Fault::ControllerCrash { .. }) {
-                // The crash kills the controller process: everything but
-                // the serialized journal is gone. Rebuild from it and
-                // carry on — the recovered controller's decisions must be
-                // indistinguishable from the uncrashed run's.
-                let surviving = gac.to_jsonl();
-                drop(gac);
-                let (recovered, report) = JournaledGac::recover(&surviving, COMPACT_EVERY);
-                gac = recovered;
-                rec.record(
-                    injection.at,
-                    Event::ControllerRecovered {
-                        node: injection.fault.node(),
-                        replayed: report.replayed,
-                        lost: report.lost,
-                    },
-                );
-            }
+    let arrivals = arrivals(params);
+    let injections = schedule.injections();
+    // Injections due at an instant land before that instant's arrivals.
+    let mut steps: Vec<(Cycles, u8, usize)> = injections
+        .iter()
+        .enumerate()
+        .map(|(i, injection)| (injection.at, 0, i))
+        .chain(arrivals.iter().enumerate().map(|(i, &(at, _))| (at, 1, i)))
+        .collect();
+    steps.sort_unstable();
+    for (at, rank, i) in steps {
+        cluster.run_until(at, &mut rec);
+        if rank == 1 {
+            cluster.submit(arrivals[i].1, at, &mut rec);
+            continue;
         }
-        // Snapshot reservation ends *before* completions are purged so a
-        // finished job's completion instant (and deadline verdict) is its
-        // final reservation's own end, not the polling step.
-        for &(id, node) in gac.gac().placements() {
-            if let Some(r) = gac
-                .gac()
-                .lac(node)
-                .reservations()
-                .iter()
-                .find(|r| r.id == id)
-            {
-                ends.insert(id, r.end);
-            }
-        }
-        for (id, _) in gac.advance(t) {
-            let at = ends.get(&id).copied().unwrap_or(t);
-            if let Some(f) = fates.get_mut(&id) {
-                f.completed = Some(at);
-                let met_deadline = at <= f.deadline;
-                rec.record(
-                    at,
-                    Event::Completed {
-                        job: id,
-                        met_deadline,
-                    },
-                );
-            }
-        }
-        while pending.last().is_some_and(|&(at, ..)| at <= t) {
-            let (_, id, mode, tw, deadline) = pending.pop().expect("checked non-empty");
-            let request = ResourceRequest::paper_job();
-            let (node, _) = gac.submit_recorded(id, mode, request, tw, Some(deadline), &mut rec);
-            fates.insert(
-                id,
-                JobFate {
-                    id,
-                    mode,
-                    deadline,
-                    admitted: node,
-                    migrations: 0,
-                    revoked: false,
-                    completed: None,
+        let injection = injections[i];
+        cluster.apply(injection, &mut rec);
+        if matches!(injection.fault, Fault::ControllerCrash { .. }) {
+            // The crash kills the controller process: everything but the
+            // serialized journal is gone. Rebuild from it and carry on —
+            // the recovered controller's decisions must be
+            // indistinguishable from the uncrashed run's.
+            let surviving = cluster.to_jsonl();
+            drop(cluster);
+            let (recovered, report) = JournaledCluster::recover(&surviving);
+            cluster = recovered;
+            rec.record(
+                at,
+                Event::ControllerRecovered {
+                    node: injection.fault.node(),
+                    replayed: report.replayed,
+                    lost: report.lost,
                 },
             );
         }
-        if pending.is_empty() && schedule.is_exhausted() && gac.gac().placements().is_empty() {
+    }
+    // Let every surviving reservation run out. Bounded: a stranded job
+    // shows in the fates instead of hanging the run.
+    let chunk = Cycles::new((params.horizon.get() / 4).max(1));
+    let drain_until = Cycles::new(params.horizon.get().saturating_mul(4));
+    loop {
+        let gac = cluster.cluster().gac();
+        if (gac.idle() && gac.placements().is_empty()) || cluster.cluster().now() >= drain_until {
             break;
         }
-        if t >= drain_until {
-            break; // safety valve; stranded jobs will show in the fates
-        }
-        t += step;
+        let until = cluster.cluster().now() + chunk;
+        cluster.run_until(until, &mut rec);
     }
 
-    // Fold migrations/revocations back into the per-job fates.
+    let gac = cluster.cluster().gac();
+    let mut fates: Vec<JobFate> = arrivals
+        .iter()
+        .map(|&(_, req)| JobFate {
+            id: req.id,
+            mode: req.mode,
+            deadline: req.deadline.expect("every chaos job has a deadline"),
+            admitted: gac.decisions().get(&req.id).and_then(|&(node, _)| node),
+            migrations: 0,
+            revoked: false,
+            completed: None,
+        })
+        .collect();
     for r in rec.records() {
+        let Some(f) = r.event.job().and_then(|job| fates.get_mut(job.as_usize())) else {
+            continue;
+        };
         match r.event {
-            Event::Migrated { job, .. } => {
-                if let Some(f) = fates.get_mut(&job) {
-                    f.migrations += 1;
-                }
-            }
-            Event::ReservationRevoked { job, .. } => {
-                if let Some(f) = fates.get_mut(&job) {
-                    f.revoked = true;
-                }
-            }
+            Event::Migrated { .. } => f.migrations += 1,
+            Event::ReservationRevoked { .. } => f.revoked = true,
+            Event::Completed { .. } => f.completed = Some(r.at),
             _ => {}
         }
     }
 
     let outcome = ChaosOutcome {
-        fates: fates.into_values().collect(),
-        faults,
+        fates,
         records: rec.to_vec(),
-        live_nodes: gac.gac().live_nodes(),
+        live_nodes: gac.live_nodes(),
     };
     if let Some(path) = &params.events {
         append_events(path, &outcome.records);
@@ -459,9 +436,9 @@ pub fn print(outcome: &ChaosOutcome, params: &ChaosParams) {
         "admitted {admitted}/{} | deadlines met {met}/{admitted} | migrated {} | \
          downgraded {} | revoked {} | surviving nodes {}/{}",
         outcome.fates.len(),
-        outcome.faults.migrated.len(),
-        outcome.faults.downgraded.len(),
-        outcome.faults.revoked.len(),
+        outcome.count(EventKind::Migrated),
+        outcome.count(EventKind::DowngradedUnderFault),
+        outcome.count(EventKind::ReservationRevoked),
         outcome.live_nodes,
         params.nodes,
     );
@@ -607,6 +584,47 @@ pub struct NetChaosOutcome {
     pub net: NetStats,
 }
 
+/// Where the GAC left jobs `0..jobs`: the accounting both network cells
+/// print and assert on.
+struct Ledger {
+    admitted: u32,
+    rejected: u32,
+    completed: u32,
+    revoked: u32,
+    unaccounted: Vec<JobId>,
+    undecided: Vec<JobId>,
+}
+
+impl Ledger {
+    fn of(gac: &NetGac, jobs: u32) -> Self {
+        let mut l = Ledger {
+            admitted: 0,
+            rejected: 0,
+            completed: 0,
+            revoked: 0,
+            unaccounted: Vec::new(),
+            undecided: Vec::new(),
+        };
+        for job in (0..jobs).map(JobId::new) {
+            match gac.decisions().get(&job) {
+                None => l.undecided.push(job),
+                Some((_, Decision::Accepted { .. })) => {
+                    l.admitted += 1;
+                    let done = gac.completed().contains(&job);
+                    let gone = gac.revoked().contains(&job);
+                    l.completed += u32::from(done);
+                    l.revoked += u32::from(gone);
+                    if done == gone {
+                        l.unaccounted.push(job);
+                    }
+                }
+                Some((_, Decision::Rejected(_))) => l.rejected += 1,
+            }
+        }
+        l
+    }
+}
+
 /// One scheduled instant of the net cell, in deterministic order.
 #[derive(Debug, Clone, Copy)]
 enum NetStep {
@@ -627,10 +645,12 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
         .reorder(10)
         .drop(0.05)
         .duplicate(0.10);
-    let mut config = NetGacConfig::default();
     // A partition heals. Merely-unreachable nodes must never cross the
     // death timeout mid-run, drain included.
-    config.gac.dead_timeout = Cycles::new(params.horizon.get().saturating_mul(16));
+    let config = NetGacConfig {
+        dead_timeout: Cycles::new(params.horizon.get().saturating_mul(16)),
+        ..NetGacConfig::default()
+    };
     let mut cluster = Cluster::new(
         params.nodes,
         LacConfig::default(),
@@ -729,29 +749,7 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
     }
 
     let gac = cluster.gac();
-    let mut admitted = 0u32;
-    let mut rejected = 0u32;
-    let mut completed = 0u32;
-    let mut revoked = 0u32;
-    let mut unaccounted = Vec::new();
-    let mut undecided = Vec::new();
-    for i in 0..params.jobs {
-        let job = JobId::new(i);
-        match gac.decisions().get(&job) {
-            None => undecided.push(job),
-            Some((_, Decision::Accepted { .. })) => {
-                admitted += 1;
-                let done = gac.completed().contains(&job);
-                let gone = gac.revoked().contains(&job);
-                completed += u32::from(done);
-                revoked += u32::from(gone);
-                if done == gone {
-                    unaccounted.push(job);
-                }
-            }
-            Some((_, Decision::Rejected(_))) => rejected += 1,
-        }
-    }
+    let jobs = Ledger::of(gac, params.jobs);
     let mut healthy = 0;
     let mut suspect = 0;
     let mut dead = 0;
@@ -764,12 +762,12 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
     }
     NetChaosOutcome {
         submitted: params.jobs,
-        admitted,
-        rejected,
-        completed,
-        revoked,
-        unaccounted,
-        undecided,
+        admitted: jobs.admitted,
+        rejected: jobs.rejected,
+        completed: jobs.completed,
+        revoked: jobs.revoked,
+        unaccounted: jobs.unaccounted,
+        undecided: jobs.undecided,
         pending_reconciles: gac.pending_reconciles(),
         healthy,
         suspect,
@@ -999,12 +997,12 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     // zero-expiry assert is a real tripwire; a lease-frozen node's
     // placements expire (~70k) well inside their reservations
     // (horizon/6 = 100k at standard scale), so sabotage is caught.
-    let mut config = NetGacConfig {
+    let config = NetGacConfig {
         heartbeat_every: Cycles::new(10_000),
         lease_ttl: Cycles::new(30_000),
+        dead_timeout: Cycles::new(40_000),
         ..NetGacConfig::default()
     };
-    config.gac.dead_timeout = Cycles::new(40_000);
     let mut cluster = Cluster::new(
         params.nodes,
         LacConfig::default(),
@@ -1081,29 +1079,7 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
 
     let total_nodes = cluster.nodes();
     let gac = cluster.gac();
-    let mut admitted = 0u32;
-    let mut rejected = 0u32;
-    let mut completed = 0u32;
-    let mut revoked = 0u32;
-    let mut unaccounted = Vec::new();
-    let mut undecided = Vec::new();
-    for i in 0..params.jobs {
-        let job = JobId::new(i);
-        match gac.decisions().get(&job) {
-            None => undecided.push(job),
-            Some((_, Decision::Accepted { .. })) => {
-                admitted += 1;
-                let done = gac.completed().contains(&job);
-                let gone = gac.revoked().contains(&job);
-                completed += u32::from(done);
-                revoked += u32::from(gone);
-                if done == gone {
-                    unaccounted.push(job);
-                }
-            }
-            Some((_, Decision::Rejected(_))) => rejected += 1,
-        }
-    }
+    let jobs = Ledger::of(gac, params.jobs);
     let mut live = 0;
     let mut joining = 0;
     let mut draining = 0;
@@ -1123,12 +1099,12 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     }
     ChurnOutcome {
         submitted: params.jobs,
-        admitted,
-        rejected,
-        completed,
-        revoked,
-        unaccounted,
-        undecided,
+        admitted: jobs.admitted,
+        rejected: jobs.rejected,
+        completed: jobs.completed,
+        revoked: jobs.revoked,
+        unaccounted: jobs.unaccounted,
+        undecided: jobs.undecided,
         migrations: rec.counters.migrated,
         joined: rec.counters.nodes_joined,
         drained: rec.counters.nodes_drained,
@@ -1267,7 +1243,13 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(migrated_jobs.len(), o.faults.migrated.len());
+        assert!(
+            !migrated_jobs.is_empty(),
+            "the dead node's jobs failed over"
+        );
+        for job in migrated_jobs {
+            assert_eq!(o.fates[job.as_usize()].migrations, 1);
+        }
         // Jobs that never touched the dead node and completed met their
         // (generous) deadlines.
         for f in &o.fates {

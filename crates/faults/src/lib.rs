@@ -13,18 +13,17 @@
 //!   message loss ([`Fault::MessageDrop`]). A partitioned node is
 //!   *unreachable, not dead*: the GAC must hold evacuation.
 //! * [`Injection`] — a fault stamped with the cycle it strikes at.
-//! * [`FaultSchedule`] — a sorted, drainable sequence of injections. The
-//!   simulation loop calls [`FaultSchedule::due`] each step and applies
-//!   whatever has come due.
+//! * [`FaultSchedule`] — a cycle-sorted sequence of injections; a run
+//!   applies each at its cycle.
 //! * [`FaultPlan`] — a fluent builder for hand-written schedules, plus
 //!   [`FaultPlan::seeded`] for reproducible random chaos: the same seed
 //!   always yields the same schedule, so a chaos run can be replayed
 //!   event-for-event.
 //!
 //! The crate is deliberately passive: it never mutates the system itself.
-//! The `GlobalAdmissionController` (and, for way faults, `SharedL2` /
-//! `QosScheduler`) interpret the injections; every application emits typed
-//! `cmpqos-obs` events so a JSONL log fully reconstructs a chaos run.
+//! The GAC's `Cluster` (and, for way faults, `SharedL2` / `QosScheduler`)
+//! interpret the injections; every application emits typed `cmpqos-obs`
+//! events so a JSONL log fully reconstructs a chaos run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,13 +60,12 @@ pub enum Fault {
         /// The dead node.
         node: NodeId,
     },
-    /// The next `count` admission probes to a node are lost (the LAC does
-    /// not answer); the GAC must retry with backoff and track the node's
-    /// health.
+    /// The next `count` frames toward a node are lost (the LAC does not
+    /// answer); the GAC must retransmit and track the node's health.
     ProbeLoss {
         /// The node whose probes go unanswered.
         node: NodeId,
-        /// How many consecutive probes are lost.
+        /// How many consecutive frames are lost.
         count: u32,
     },
     /// The node's admission controller crashes, losing its in-core
@@ -203,30 +201,29 @@ pub struct Injection {
     pub fault: Fault,
 }
 
-/// A drainable, cycle-ordered sequence of injections.
+/// A cycle-ordered sequence of injections.
 ///
-/// Build one with [`FaultPlan`]; the simulation loop then drains it:
+/// Build one with [`FaultPlan`]; a run applies its [`injections`] in
+/// order, each at its cycle:
 ///
 /// ```
 /// use cmpqos_faults::FaultPlan;
 /// use cmpqos_types::{Cycles, NodeId};
 ///
-/// let mut schedule = FaultPlan::new()
+/// let schedule = FaultPlan::new()
 ///     .node_fault(Cycles::new(500), NodeId::new(1))
 ///     .probe_loss(Cycles::new(100), NodeId::new(0), 2)
 ///     .build();
 /// assert_eq!(schedule.len(), 2);
 /// // Ordered by cycle regardless of build order.
-/// assert_eq!(schedule.due(Cycles::new(100)).len(), 1);
-/// assert_eq!(schedule.due(Cycles::new(1_000)).len(), 1);
-/// assert!(schedule.is_exhausted());
+/// assert_eq!(schedule.injections()[0].at, Cycles::new(100));
 /// ```
+///
+/// [`injections`]: FaultSchedule::injections
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// All injections, sorted by cycle (stable: ties keep build order).
     injections: Vec<Injection>,
-    /// Index of the first not-yet-drained injection.
-    cursor: usize,
 }
 
 impl FaultSchedule {
@@ -234,34 +231,10 @@ impl FaultSchedule {
     #[must_use]
     pub fn new(mut injections: Vec<Injection>) -> Self {
         injections.sort_by_key(|i| i.at);
-        Self {
-            injections,
-            cursor: 0,
-        }
+        Self { injections }
     }
 
-    /// An empty schedule (a fault-free run).
-    #[must_use]
-    pub fn none() -> Self {
-        Self::new(Vec::new())
-    }
-
-    /// Drains and returns every injection with `at <= now`, in order.
-    pub fn due(&mut self, now: Cycles) -> Vec<Injection> {
-        let start = self.cursor;
-        while self.cursor < self.injections.len() && self.injections[self.cursor].at <= now {
-            self.cursor += 1;
-        }
-        self.injections[start..self.cursor].to_vec()
-    }
-
-    /// The next pending injection, if any.
-    #[must_use]
-    pub fn peek(&self) -> Option<&Injection> {
-        self.injections.get(self.cursor)
-    }
-
-    /// Total injections (drained and pending).
+    /// Total injections.
     #[must_use]
     pub fn len(&self) -> usize {
         self.injections.len()
@@ -273,19 +246,7 @@ impl FaultSchedule {
         self.injections.is_empty()
     }
 
-    /// Injections not yet drained.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.injections.len() - self.cursor
-    }
-
-    /// Whether every injection has been drained.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// All injections in cycle order, including already-drained ones.
+    /// All injections in cycle order.
     #[must_use]
     pub fn injections(&self) -> &[Injection] {
         &self.injections
@@ -514,23 +475,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn schedule_drains_in_cycle_order() {
-        let mut s = FaultPlan::new()
+    fn schedule_is_in_stable_cycle_order() {
+        let s = FaultPlan::new()
             .node_fault(Cycles::new(300), NodeId::new(2))
             .way_fault(Cycles::new(100), NodeId::new(0), 3)
             .probe_loss(Cycles::new(100), NodeId::new(1), 2)
             .build();
         assert_eq!(s.len(), 3);
-        assert_eq!(s.peek().unwrap().at, Cycles::new(100));
-        let first = s.due(Cycles::new(100));
-        assert_eq!(first.len(), 2);
+        let i = s.injections();
         // Stable sort: ties keep build order.
-        assert!(matches!(first[0].fault, Fault::WayFault { way: 3, .. }));
-        assert!(matches!(first[1].fault, Fault::ProbeLoss { count: 2, .. }));
-        assert_eq!(s.remaining(), 1);
-        assert!(s.due(Cycles::new(200)).is_empty());
-        assert_eq!(s.due(Cycles::new(500)).len(), 1);
-        assert!(s.is_exhausted());
+        assert!(matches!(i[0].fault, Fault::WayFault { way: 3, .. }));
+        assert!(matches!(i[1].fault, Fault::ProbeLoss { count: 2, .. }));
+        assert_eq!(i[2].at, Cycles::new(300));
+        assert!(FaultPlan::new().build().is_empty());
     }
 
     #[test]
@@ -678,14 +635,5 @@ mod tests {
         }
         assert!(next_id > 4, "some join was generated");
         assert!(!drained.is_empty(), "some drain was generated");
-    }
-
-    #[test]
-    fn empty_schedule_is_exhausted() {
-        let mut s = FaultSchedule::none();
-        assert!(s.is_empty());
-        assert!(s.is_exhausted());
-        assert!(s.due(Cycles::new(1_000_000)).is_empty());
-        assert!(s.peek().is_none());
     }
 }

@@ -128,8 +128,6 @@ pub struct Counters {
     pub faults_injected: u64,
     /// Admission probes lost in transit.
     pub probes_lost: u64,
-    /// Probe retries scheduled with backoff.
-    pub probe_backoffs: u64,
     /// Node health transitions.
     pub node_health_changes: u64,
     /// Jobs placed on a node by the global admission controller.
@@ -193,7 +191,6 @@ impl Counters {
             EventKind::DeadlineMissed => self.deadlines_missed,
             EventKind::FaultInjected => self.faults_injected,
             EventKind::ProbeLost => self.probes_lost,
-            EventKind::ProbeBackoff => self.probe_backoffs,
             EventKind::NodeHealthChanged => self.node_health_changes,
             EventKind::Placed => self.placed,
             EventKind::Migrated => self.migrated,
@@ -238,7 +235,6 @@ impl Counters {
             EventKind::DeadlineMissed => &mut self.deadlines_missed,
             EventKind::FaultInjected => &mut self.faults_injected,
             EventKind::ProbeLost => &mut self.probes_lost,
-            EventKind::ProbeBackoff => &mut self.probe_backoffs,
             EventKind::NodeHealthChanged => &mut self.node_health_changes,
             EventKind::Placed => &mut self.placed,
             EventKind::Migrated => &mut self.migrated,

@@ -51,8 +51,6 @@ pub struct JobTimeline {
     pub migrations: Vec<(Cycles, NodeId, NodeId)>,
     /// Admission probes to this job that were lost in transit.
     pub probe_losses: u64,
-    /// Probe retries scheduled with backoff for this job.
-    pub probe_backoffs: u64,
     /// Elastic downgrades that absorbed a capacity loss: `(at, node, ways_cut)`.
     pub fault_downgrades: Vec<(Cycles, NodeId, Ways)>,
     /// Epoch samples that found this job above its SLO target.
@@ -359,7 +357,6 @@ impl Timeline {
                         deadline, finished, ..
                     } => job.deadline_missed = Some((*deadline, *finished)),
                     Event::ProbeLost { .. } => job.probe_losses += 1,
-                    Event::ProbeBackoff { .. } => job.probe_backoffs += 1,
                     Event::Placed { node, .. } => job.placed = Some((at, *node)),
                     Event::Migrated { from, to, .. } => {
                         job.migrations.push((at, *from, *to));

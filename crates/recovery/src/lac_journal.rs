@@ -348,6 +348,18 @@ impl cmpqos_core::LacBackend for JournaledLac {
     }
 }
 
+/// Capacity faults reach a journaled node through the same write-ahead
+/// path as every other mutation.
+impl cmpqos_core::CapacityBackend for JournaledLac {
+    fn capacity(&self) -> ResourceRequest {
+        self.lac.capacity()
+    }
+
+    fn revoke_capacity(&mut self, new_capacity: ResourceRequest, now: Cycles) -> Vec<Revocation> {
+        JournaledLac::revoke_capacity(self, new_capacity, now)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

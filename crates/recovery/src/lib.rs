@@ -3,24 +3,29 @@
 //! The paper's admission controllers (Section 5) are user-level programs:
 //! a crash of the GAC/LAC process loses the reservation tables, the FCFS
 //! order, and the node-health map — and with them every QoS promise the
-//! server has made. This crate makes that state crash-consistent with a
-//! classic write-ahead journal:
+//! server has made. This crate makes that state crash-consistent with
+//! write-ahead journals:
 //!
 //! * [`Journal`] — an append-only log of schema-versioned, checksummed
 //!   records ([`JournalRecord`]), serialized as JSONL. Loading tolerates a
 //!   torn or bit-flipped tail by truncating at the last valid checksum
 //!   ([`TailReport`]) instead of failing.
-//! * [`JournaledLac`] / [`JournaledGac`] — drop-in wrappers that append
-//!   every state-changing operation to the journal *before* mutating the
-//!   in-core controller, and periodically compact the journal down to a
-//!   single snapshot record ([`cmpqos_core::LacState`] /
-//!   [`cmpqos_core::GacState`]).
-//! * Deterministic recovery — [`JournaledLac::recover`] /
-//!   [`JournaledGac::recover`] rebuild a controller as *snapshot + op
-//!   replay*. Because every admission decision is a pure function of
-//!   controller state, the recovered controller's subsequent decisions are
-//!   byte-identical to the uncrashed original's (the chaos harness asserts
-//!   exactly this under `--crash-at`).
+//! * [`JournaledLac`] — a drop-in LAC that appends every state-changing
+//!   operation to the journal *before* mutating the in-core controller,
+//!   and periodically compacts the journal down to a single
+//!   [`cmpqos_core::LacState`] snapshot. [`JournaledLac::recover`] rebuilds
+//!   it as *snapshot + op replay*.
+//! * [`JournaledCluster`] — the Global Admission Controller's journal: it
+//!   records every input of an in-process [`cmpqos_core::Cluster`]
+//!   (submissions, revocations, faults, membership steps, and the cycles
+//!   it runs to). The cluster is a deterministic function of those inputs,
+//!   so [`JournaledCluster::recover`] replays them into a fresh cluster.
+//!   This journal is never compacted.
+//!
+//! Because every admission decision is a pure function of controller
+//! state, a recovered controller's subsequent decisions are byte-identical
+//! to the uncrashed original's (the chaos harness asserts exactly this
+//! under `--crash-at`).
 //!
 //! ```
 //! use cmpqos_core::{AdmissionRequest, Lac, LacConfig, ResourceRequest};
@@ -47,15 +52,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gac_journal;
+pub mod cluster_journal;
 pub mod journal;
 pub mod lac_journal;
 
-pub use gac_journal::{GacOp, JournaledGac};
+pub use cluster_journal::{ClusterOp, JournaledCluster};
 pub use journal::{fnv1a64, Journal, JournalRecord, TailReport, JOURNAL_VERSION};
 pub use lac_journal::{JournaledLac, LacOp};
 
-/// What a [`JournaledLac::recover`] / [`JournaledGac::recover`] did.
+/// What a [`JournaledLac::recover`] / [`JournaledCluster::recover`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[must_use = "a recovery report says how much journaled state was lost; dropping it hides data loss"]
 pub struct RecoveryReport {

@@ -11,49 +11,136 @@
 //!
 //! [`replay`] re-derives each node's state from first principles: it
 //! feeds the logged request frames through *fresh* [`LacEndpoint`]s (no
-//! network, no retransmission machinery, no GAC) and [`check`] demands
-//! the replayed reservation tables and processed-request counts equal the
-//! live endpoints' — byte-for-byte state equality, not a summary
-//! comparison. Any hidden state the live endpoint accumulated outside the
-//! delivered log (or any non-idempotent handling of a duplicate) shows up
-//! as a divergence.
+//! network, no retransmission machinery, no GAC), applying the node-local
+//! events the run applied outside the network ([`NodeEvent`]) at the same
+//! point in delivery order. [`check`] then demands three things:
+//!
+//! * the replayed reservation tables and processed-request counts equal
+//!   the live endpoints' — byte-for-byte state equality, not a summary
+//!   comparison; any hidden state the live endpoint accumulated outside
+//!   the delivered log (or any non-idempotent handling of a duplicate)
+//!   shows up as a divergence;
+//! * every probe a node decided matches the brute-force [`OracleLac`]
+//!   seeded from that node's pre-probe state ([`CheckedLac`]);
+//! * once the cluster is quiet, the GAC's placement view agrees with the
+//!   nodes: every placement is the `(id, start, end)` of a reservation
+//!   its node holds.
 
-use cmpqos_core::{Cluster, Lac, LacConfig, LacEndpoint, Wire};
+use crate::oracle::OracleLac;
+use cmpqos_core::{
+    AdmissionRequest, Cluster, Decision, Lac, LacBackend, LacConfig, LacEndpoint, Reservation,
+    ResourceRequest, Wire,
+};
 use cmpqos_net::{Addr, Envelope};
-use cmpqos_types::{Cycles, NodeId};
+use cmpqos_types::{Cycles, JobId, NodeId};
+
+/// A node-local event a run applied outside the network.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NodeEvent {
+    /// The node's process restarted: its endpoint's protocol state
+    /// (sequence numbers, reply cache, epoch) is wiped while its
+    /// journal-recovered backend survives.
+    Restart,
+    /// A capacity fault shrank the node's LAC to this supply.
+    Capacity(ResourceRequest),
+}
+
+/// A replayed node's LAC that checks every admission it decides against
+/// the brute-force [`OracleLac`] seeded from its pre-probe state.
+#[derive(Debug, Clone)]
+pub struct CheckedLac {
+    lac: Lac,
+    divergence: Option<String>,
+}
+
+impl CheckedLac {
+    /// The replayed LAC.
+    #[must_use]
+    pub fn lac(&self) -> &Lac {
+        &self.lac
+    }
+
+    /// The first admission whose decision the oracle disputes, if any.
+    #[must_use]
+    pub fn divergence(&self) -> Option<&str> {
+        self.divergence.as_deref()
+    }
+}
+
+impl LacBackend for CheckedLac {
+    fn now(&self) -> Cycles {
+        self.lac.now()
+    }
+
+    fn advance(&mut self, now: Cycles) {
+        self.lac.advance(now);
+    }
+
+    fn admit(&mut self, req: &AdmissionRequest) -> Decision {
+        let want =
+            OracleLac::from_parts(self.lac.capacity(), self.lac.reservations(), self.lac.now())
+                .admit_request(req);
+        let got = self.lac.admit(req);
+        if got != want && self.divergence.is_none() {
+            self.divergence = Some(format!(
+                "probe for {} decided {got:?} but the pre-probe oracle says {want:?}",
+                req.id
+            ));
+        }
+        got
+    }
+
+    fn readmit(&mut self, r: &Reservation) -> Decision {
+        self.lac.readmit(r)
+    }
+
+    fn cancel(&mut self, id: JobId) {
+        self.lac.cancel(id);
+    }
+
+    fn reservations(&self) -> Vec<Reservation> {
+        self.lac.reservations()
+    }
+}
 
 /// Replays the request frames of a delivered-message log through fresh
 /// endpoints, one per node, in delivery order. Replies the replayed
 /// endpoints would have sent are discarded — only node state matters.
+///
+/// Each of `events` (in the order the run applied them) takes effect
+/// after every frame delivered at or before its cycle and before the
+/// first frame delivered strictly after it.
 #[must_use]
-pub fn replay(log: &[Envelope<Wire>], nodes: usize, config: LacConfig) -> Vec<LacEndpoint<Lac>> {
-    replay_with_restarts(log, nodes, config, &[])
-}
-
-/// [`replay`] for runs with node restarts. A restart wipes the live
-/// endpoint's protocol state (sequence numbers, reply cache, epoch) while
-/// its journal-recovered backend survives — so the oracle endpoint is
-/// [`LacEndpoint::reset`] at the same point in delivery order: after
-/// every frame delivered at or before the restart cycle, before the
-/// first delivered strictly after it. `restarts` must be in cycle order
-/// (the order they were applied to the live cluster).
-#[must_use]
-pub fn replay_with_restarts(
+pub fn replay(
     log: &[Envelope<Wire>],
     nodes: usize,
     config: LacConfig,
-    restarts: &[(Cycles, NodeId)],
-) -> Vec<LacEndpoint<Lac>> {
-    let mut endpoints: Vec<LacEndpoint<Lac>> = (0..nodes)
-        .map(|_| LacEndpoint::new(Lac::new(config)))
+    events: &[(Cycles, NodeId, NodeEvent)],
+) -> Vec<LacEndpoint<CheckedLac>> {
+    let mut endpoints: Vec<LacEndpoint<CheckedLac>> = (0..nodes)
+        .map(|_| {
+            LacEndpoint::new(CheckedLac {
+                lac: Lac::new(config),
+                divergence: None,
+            })
+        })
         .collect();
-    let mut pending = restarts.iter().peekable();
+    let apply = |endpoints: &mut Vec<LacEndpoint<CheckedLac>>, at, node: NodeId, event| {
+        let Some(endpoint) = endpoints.get_mut(node.as_usize()) else {
+            return;
+        };
+        match event {
+            NodeEvent::Restart => endpoint.reset(),
+            NodeEvent::Capacity(supply) => {
+                let _ = endpoint.backend_mut().lac.revoke_capacity(supply, at);
+            }
+        }
+    };
+    let mut pending = events.iter().peekable();
     for env in log {
-        while let Some(&&(at, node)) = pending.peek() {
+        while let Some(&&(at, node, event)) = pending.peek() {
             if at < env.deliver_at {
-                if let Some(endpoint) = endpoints.get_mut(node.as_usize()) {
-                    endpoint.reset();
-                }
+                apply(&mut endpoints, at, node, event);
                 pending.next();
             } else {
                 break;
@@ -65,39 +152,26 @@ pub fn replay_with_restarts(
             }
         }
     }
-    for &(_, node) in pending {
-        if let Some(endpoint) = endpoints.get_mut(node.as_usize()) {
-            endpoint.reset();
-        }
+    for &(at, node, event) in pending {
+        apply(&mut endpoints, at, node, event);
     }
     endpoints
 }
 
-/// Checks a finished cluster run against the replay oracle: every node's
-/// live reservation table and processed-request count must be reproduced
-/// by replaying the delivered log alone.
+/// Checks a cluster run against the replay, pre-probe, and placement-view
+/// oracles (see the module docs). `events` are the node-local events the
+/// run applied, in order.
 ///
 /// # Errors
 ///
-/// Returns a description of the first node whose replayed state diverges
-/// from its live state.
-pub fn check(cluster: &Cluster<Lac>, config: LacConfig) -> Result<(), String> {
-    check_with_restarts(cluster, config, &[])
-}
-
-/// [`check`] for runs with node restarts (see [`replay_with_restarts`]).
-///
-/// # Errors
-///
-/// Returns a description of the first node whose replayed state diverges
-/// from its live state.
-pub fn check_with_restarts(
+/// Returns a description of the first divergence.
+pub fn check(
     cluster: &Cluster<Lac>,
     config: LacConfig,
-    restarts: &[(Cycles, NodeId)],
+    events: &[(Cycles, NodeId, NodeEvent)],
 ) -> Result<(), String> {
     let nodes = cluster.nodes();
-    let replayed = replay_with_restarts(cluster.net().delivered_log(), nodes, config, restarts);
+    let replayed = replay(cluster.net().delivered_log(), nodes, config, events);
     for (i, oracle) in replayed.iter().enumerate() {
         let node = NodeId::new(u32::try_from(i).map_err(|_| "node count overflows u32")?);
         let live = cluster.endpoint(node);
@@ -109,12 +183,32 @@ pub fn check_with_restarts(
                 oracle.processed()
             ));
         }
-        if live.backend() != oracle.backend() {
+        if live.backend() != oracle.backend().lac() {
             return Err(format!(
                 "{node}: live reservation table diverges from the delivered-log \
                  replay\n  live:   {:?}\n  replay: {:?}",
                 live.backend().reservations(),
                 oracle.backend().reservations()
+            ));
+        }
+        if let Some(d) = oracle.backend().divergence() {
+            return Err(format!("{node}: {d}"));
+        }
+    }
+    // The placement view is only settled once no conversation, parked
+    // task, reconciliation, or frame is outstanding.
+    let gac = cluster.gac();
+    if !gac.idle() || gac.pending_reconciles() > 0 || cluster.net().next_deliver_at().is_some() {
+        return Ok(());
+    }
+    for (&job, &(node, r)) in gac.placements() {
+        let held = cluster.endpoint(node).backend().reservations();
+        let booked = held.iter().find(|h| h.id == job).map(|h| (h.start, h.end));
+        if booked != Some((r.start, r.end)) {
+            return Err(format!(
+                "quiet cluster: the GAC places {job} on {node} over [{}, {}) but the \
+                 node books {booked:?}",
+                r.start, r.end
             ));
         }
     }
@@ -170,7 +264,7 @@ mod tests {
             cluster.net().stats().duplicated + cluster.net().stats().dropped > 0,
             "the link must actually misbehave for this test to mean anything"
         );
-        check(&cluster, LacConfig::default()).expect("replay oracle agrees");
+        check(&cluster, LacConfig::default(), &[]).expect("replay oracle agrees");
     }
 
     #[test]
@@ -185,10 +279,15 @@ mod tests {
             .filter(|e| matches!((e.to, &e.msg), (Addr::Node(_), Wire::Request(_))))
             .count();
         assert!(requests > 2, "the run produced request traffic");
-        let truncated = replay(&log[..log.len() / 2], cluster.nodes(), LacConfig::default());
-        let full = replay(log, cluster.nodes(), LacConfig::default());
+        let truncated = replay(
+            &log[..log.len() / 2],
+            cluster.nodes(),
+            LacConfig::default(),
+            &[],
+        );
+        let full = replay(log, cluster.nodes(), LacConfig::default(), &[]);
         let processed =
-            |eps: &[LacEndpoint<Lac>]| -> u64 { eps.iter().map(|e| e.processed()).sum() };
+            |eps: &[LacEndpoint<CheckedLac>]| -> u64 { eps.iter().map(|e| e.processed()).sum() };
         assert!(
             processed(&truncated) < processed(&full),
             "half the log must replay fewer requests than all of it"

@@ -15,10 +15,11 @@
 //!   benchmark traces; before each submit the oracle is seeded from the
 //!   scheduler's LAC and must predict the exact decision (including the
 //!   Section 3.4 automatic-downgrade path).
-//! * [`ScenarioKind::Gac`] — multi-node [`GlobalAdmissionController`]
-//!   runs with way/core faults injected between submissions; every accept
-//!   must be reproducible from the accepting node's pre-probe state, every
-//!   reject confirmed against each live node, and no node's timeline may
+//! * [`ScenarioKind::Net`] — the Global Admission Controller: a
+//!   [`cmpqos_core::Cluster`] over a seeded lossy network with partitions,
+//!   way/core faults, and membership churn, checked against the
+//!   delivered-message-log replay, pre-probe [`OracleLac`], and
+//!   placement-view oracles ([`crate::netreplay`]); no node's timeline may
 //!   ever be overbooked.
 //! * [`ScenarioKind::Adapt`] — the adaptive control law: seed-derived
 //!   gains and error streams stepped through the production
@@ -37,12 +38,12 @@
 //! [`Divergence::repro`] is a one-line `cmpqos explore` invocation;
 //! [`shrink`] delta-debugs a failing op list down to a local minimum.
 
+use crate::netreplay::NodeEvent;
 use crate::oracle::{OracleIntake, OracleLac, OracleOffer, OracleRevocation};
 use cmpqos_core::modes::auto_downgrade_plan;
 use cmpqos_core::{
-    AdmissionIntake, AdmissionRequest, Decision, ExecutionMode, GlobalAdmissionController,
-    IntakeConfig, IntakeOutcome, Lac, LacConfig, ProbePolicy, QosJob, QosScheduler,
-    ResourceRequest, SchedulerConfig,
+    AdmissionIntake, AdmissionRequest, Decision, ExecutionMode, IntakeConfig, IntakeOutcome, Lac,
+    LacConfig, ProbePolicy, QosJob, QosScheduler, ResourceRequest, SchedulerConfig,
 };
 use cmpqos_faults::{Fault, Injection};
 use cmpqos_obs::NullRecorder;
@@ -64,19 +65,17 @@ pub enum ScenarioKind {
     Intake,
     /// Whole-scheduler runs with per-submit decision prediction.
     Scheduler,
-    /// Multi-node GAC runs with fault injection and membership churn
-    /// (joins, graceful drains, restarts) between submissions.
-    Gac,
     /// Batched admission: runs of consecutive requests go through
     /// `admit_batch` and must decide identically to one-at-a-time
     /// admission and the brute-force oracle.
     Batch,
-    /// Message-layer control plane: a [`cmpqos_core::Cluster`] driven over
-    /// a seeded lossy/duplicating/reordering network with partitions,
-    /// heals, forced drops, and membership churn (joins, graceful drains,
-    /// restarts), checked against the delivered-message-log replay oracle
-    /// ([`crate::netreplay`], restart-aware) plus the
-    /// completed-XOR-revoked and no-overbooking invariants.
+    /// The Global Admission Controller: a [`cmpqos_core::Cluster`] driven
+    /// over a seeded lossy/duplicating/reordering network with partitions,
+    /// heals, forced drops, way/core faults, and membership churn (joins,
+    /// graceful drains, restarts), checked against the
+    /// [`crate::netreplay`] oracles (delivered-log replay, pre-probe
+    /// decisions, quiet placement view) plus the completed-XOR-revoked and
+    /// no-overbooking invariants.
     Net,
     /// Adaptive control law: production `pid_step` vs the exact-`i128`
     /// [`OraclePid`] over seed-derived gains and error streams.
@@ -97,7 +96,6 @@ impl ScenarioKind {
             ScenarioKind::Lac => "lac",
             ScenarioKind::Intake => "intake",
             ScenarioKind::Scheduler => "scheduler",
-            ScenarioKind::Gac => "gac",
             ScenarioKind::Batch => "batch",
             ScenarioKind::Net => "net",
             ScenarioKind::Adapt => "adapt",
@@ -112,7 +110,6 @@ impl ScenarioKind {
             "lac" => Some(ScenarioKind::Lac),
             "intake" => Some(ScenarioKind::Intake),
             "scheduler" => Some(ScenarioKind::Scheduler),
-            "gac" => Some(ScenarioKind::Gac),
             "batch" => Some(ScenarioKind::Batch),
             "net" => Some(ScenarioKind::Net),
             "adapt" => Some(ScenarioKind::Adapt),
@@ -122,11 +119,10 @@ impl ScenarioKind {
     }
 
     /// All kinds, in explorer rotation order.
-    pub const ALL: [ScenarioKind; 8] = [
+    pub const ALL: [ScenarioKind; 7] = [
         ScenarioKind::Lac,
         ScenarioKind::Intake,
         ScenarioKind::Scheduler,
-        ScenarioKind::Gac,
         ScenarioKind::Batch,
         ScenarioKind::Net,
         ScenarioKind::Adapt,
@@ -244,6 +240,16 @@ pub enum Op {
         /// The node to restart.
         node: u32,
     },
+    /// One of the node's L2 ways dies (net scenarios only).
+    WayFault {
+        /// The node losing a way.
+        node: u32,
+    },
+    /// One of the node's cores dies (net scenarios only).
+    CoreFault {
+        /// The node losing a core.
+        node: u32,
+    },
 }
 
 /// A seed-derived operation list for one differential run.
@@ -357,7 +363,7 @@ impl Scenario {
                 // to the RTO (100) and retry interval (500) so
                 // conversations actually time out, give up, and reconcile
                 // inside one scenario.
-                ScenarioKind::Net => match rng.gen_range(0..15u32) {
+                ScenarioKind::Net => match rng.gen_range(0..17u32) {
                     0..=4 => {
                         let id = next_id;
                         next_id += 1;
@@ -393,6 +399,12 @@ impl Scenario {
                         node: rng.gen_range(0..6),
                     },
                     11 => Op::RestartNode {
+                        node: rng.gen_range(0..6),
+                    },
+                    12 => Op::WayFault {
+                        node: rng.gen_range(0..6),
+                    },
+                    13 => Op::CoreFault {
                         node: rng.gen_range(0..6),
                     },
                     _ => {
@@ -583,7 +595,6 @@ pub fn run(scenario: &Scenario) -> Result<(), Divergence> {
         ScenarioKind::Lac => run_lac(scenario),
         ScenarioKind::Intake => run_intake(scenario),
         ScenarioKind::Scheduler => run_scheduler(scenario.seed),
-        ScenarioKind::Gac => run_gac(scenario.seed),
         ScenarioKind::Batch => run_batch(scenario),
         ScenarioKind::Net => run_net(scenario),
         ScenarioKind::Adapt => run_adapt(scenario.seed),
@@ -752,7 +763,9 @@ pub fn run_lac(scenario: &Scenario) -> Result<(), Divergence> {
             | Op::DropNext { .. }
             | Op::Join
             | Op::DrainNode { .. }
-            | Op::RestartNode { .. } => {}
+            | Op::RestartNode { .. }
+            | Op::WayFault { .. }
+            | Op::CoreFault { .. } => {}
         }
 
         if let Err(e) = oracle.table_matches(jl.lac()) {
@@ -891,7 +904,9 @@ pub fn run_batch(scenario: &Scenario) -> Result<(), Divergence> {
             | Op::DropNext { .. }
             | Op::Join
             | Op::DrainNode { .. }
-            | Op::RestartNode { .. } => {}
+            | Op::RestartNode { .. }
+            | Op::WayFault { .. }
+            | Op::CoreFault { .. } => {}
         }
 
         if jl.lac() != &seq {
@@ -988,16 +1003,16 @@ pub fn run_net(scenario: &Scenario) -> Result<(), Divergence> {
     let mut rec = NullRecorder;
     let mut now = Cycles::ZERO;
     let mut submitted: Vec<JobId> = Vec::new();
-    let mut restarts: Vec<(Cycles, NodeId)> = Vec::new();
+    let mut events: Vec<(Cycles, NodeId, NodeEvent)> = Vec::new();
     let node_of = |n: u32| NodeId::new(n % nodes as u32);
 
-    let oracles = |cluster: &Cluster<Lac>, restarts: &[(Cycles, NodeId)]| -> Result<(), String> {
-        crate::netreplay::check_with_restarts(cluster, lac_config, restarts)?;
+    let oracles = |cluster: &Cluster<Lac>, events: &[(Cycles, NodeId, NodeEvent)]| {
+        crate::netreplay::check(cluster, lac_config, events)?;
         for i in 0..cluster.nodes() {
             let node = NodeId::new(i as u32);
             let backend = cluster.endpoint(node).backend();
             let oracle =
-                OracleLac::from_parts(lac_config.capacity, backend.reservations(), backend.now());
+                OracleLac::from_parts(backend.capacity(), backend.reservations(), backend.now());
             if let Some(t) = oracle.first_overbooked_instant() {
                 return Err(format!("{node} timeline overbooked at {t}"));
             }
@@ -1074,12 +1089,26 @@ pub fn run_net(scenario: &Scenario) -> Result<(), Divergence> {
                 let n = NodeId::new(node % cluster.nodes() as u32);
                 let at = cluster.now();
                 cluster.restart_node(n, at, &mut rec);
-                restarts.push((at, n));
+                events.push((at, n, NodeEvent::Restart));
+            }
+            Op::WayFault { node } | Op::CoreFault { node } => {
+                let n = NodeId::new(node % cluster.nodes() as u32);
+                let at = cluster.now();
+                let fault = match *op {
+                    Op::WayFault { .. } => Fault::WayFault { node: n, way: 0 },
+                    _ => Fault::CoreFault {
+                        node: n,
+                        core: cmpqos_types::CoreId::new(0),
+                    },
+                };
+                cluster.apply(Injection { at, fault }, &mut rec);
+                let supply = cluster.endpoint(n).backend().capacity();
+                events.push((at, n, NodeEvent::Capacity(supply)));
             }
             // LAC/intake-only ops are not generated for net scenarios.
             _ => {}
         }
-        if let Err(e) = oracles(&cluster, &restarts) {
+        if let Err(e) = oracles(&cluster, &events) {
             return Err(diverge(scenario, i, format!("after {op:?}: {e}")));
         }
     }
@@ -1122,7 +1151,7 @@ pub fn run_net(scenario: &Scenario) -> Result<(), Divergence> {
             ));
         }
     }
-    if let Err(e) = oracles(&cluster, &restarts) {
+    if let Err(e) = oracles(&cluster, &events) {
         return Err(diverge(scenario, end, format!("after drain: {e}")));
     }
 
@@ -1424,164 +1453,6 @@ pub fn run_scheduler(seed: u64) -> Result<(), Divergence> {
     Ok(())
 }
 
-/// Multi-node GAC soundness differential ([`ScenarioKind::Gac`]).
-///
-/// # Errors
-///
-/// Returns a [`Divergence`] when an accept is not reproducible from the
-/// accepting node's pre-probe state, a reject is not confirmed by every
-/// live node's oracle, or any node's timeline is overbooked after a
-/// submission or fault.
-pub fn run_gac(seed: u64) -> Result<(), Divergence> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x6AC0);
-    let nodes = rng.gen_range(2..4usize);
-    let policy = if rng.gen_bool(0.5) {
-        ProbePolicy::FirstFit
-    } else {
-        ProbePolicy::LeastLoaded
-    };
-    let mut gac = GlobalAdmissionController::new(nodes, LacConfig::default(), policy);
-    let mut now = Cycles::ZERO;
-    let mut rec = NullRecorder;
-    let submissions = rng.gen_range(6..17u32);
-
-    for n in 0..submissions {
-        now += Cycles::new(rng.gen_range(0..301));
-        let _ = gac.advance(now);
-
-        if rng.gen_bool(0.2) {
-            let node = NodeId::new(rng.gen_range(0..nodes as u32));
-            let fault = if rng.gen_bool(0.5) {
-                Fault::WayFault {
-                    node,
-                    way: rng.gen_range(0..16),
-                }
-            } else {
-                Fault::CoreFault {
-                    node,
-                    core: cmpqos_types::CoreId::new(rng.gen_range(0..4)),
-                }
-            };
-            let _ = gac.inject(Injection { at: now, fault }, &mut rec);
-        }
-
-        // Membership churn between submissions: joins grow the table,
-        // drains and restarts exercise the migrate/reconcile paths. Node 0
-        // is never drained, so the cluster keeps at least one member.
-        if rng.gen_bool(0.25) {
-            let node = NodeId::new(rng.gen_range(0..gac.nodes() as u32));
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    let _ = gac.join_node(now, &mut rec);
-                }
-                1 if node.as_usize() != 0 => {
-                    let _ = gac.drain_node(node, now, &mut rec);
-                }
-                _ => {
-                    let _ = gac.restart_node(node, now, &mut rec);
-                }
-            }
-        }
-
-        let pre = gac.snapshot();
-        let id = JobId::new(n);
-        let mode = gen_mode(&mut rng);
-        let request = request_of(rng.gen_range(0..3), rng.gen_range(1..9), 0);
-        let tw = Cycles::new(rng.gen_range(1..251));
-        let deadline = if rng.gen_bool(0.7) {
-            Some(now + Cycles::new(rng.gen_range(0..1001)))
-        } else {
-            None
-        };
-
-        let (placed, decision) = gac.submit(id, mode, request, tw, deadline);
-        match (placed, decision) {
-            (Some(node), Decision::Accepted { start }) => {
-                let snap = &pre.nodes[node.as_usize()];
-                let mut oracle = OracleLac::from_parts(
-                    snap.lac.config.capacity,
-                    snap.lac.reservations.clone(),
-                    snap.lac.now,
-                );
-                let want = oracle.admit(id, mode, request, tw, deadline);
-                if want != (Decision::Accepted { start }) {
-                    return Err(Divergence {
-                        seed,
-                        kind: ScenarioKind::Gac,
-                        op_index: n as usize,
-                        detail: format!(
-                            "gac placed job {n} on {node:?} at {start}, but the node's \
-                             pre-probe oracle said {want:?}"
-                        ),
-                        ops: Vec::new(),
-                    });
-                }
-            }
-            (None, Decision::Rejected(_)) => {
-                for (i, snap) in pre.nodes.iter().enumerate() {
-                    // Only Live, non-dead members are probed; a
-                    // joining/draining/departed node's spare capacity does
-                    // not make a reject wrong.
-                    if snap.health == cmpqos_core::NodeHealth::Dead
-                        || snap.member != cmpqos_core::MemberState::Live
-                    {
-                        continue;
-                    }
-                    let mut oracle = OracleLac::from_parts(
-                        snap.lac.config.capacity,
-                        snap.lac.reservations.clone(),
-                        snap.lac.now,
-                    );
-                    let want = oracle.admit(id, mode, request, tw, deadline);
-                    if want.is_accepted() {
-                        return Err(Divergence {
-                            seed,
-                            kind: ScenarioKind::Gac,
-                            op_index: n as usize,
-                            detail: format!(
-                                "gac rejected job {n} but node {i}'s oracle accepts: {want:?}"
-                            ),
-                            ops: Vec::new(),
-                        });
-                    }
-                }
-            }
-            other => {
-                return Err(Divergence {
-                    seed,
-                    kind: ScenarioKind::Gac,
-                    op_index: n as usize,
-                    detail: format!("inconsistent placement/decision pair: {other:?}"),
-                    ops: Vec::new(),
-                });
-            }
-        }
-
-        // Global invariant: no node's timeline is ever overbooked.
-        for (i, snap) in gac.snapshot().nodes.iter().enumerate() {
-            let oracle = OracleLac::from_parts(
-                snap.lac.config.capacity,
-                snap.lac.reservations.clone(),
-                snap.lac.now,
-            );
-            if let Some(t) = oracle.first_overbooked_instant() {
-                return Err(Divergence {
-                    seed,
-                    kind: ScenarioKind::Gac,
-                    op_index: n as usize,
-                    detail: format!("node {i} overbooked at {t} after submission {n}"),
-                    ops: Vec::new(),
-                });
-            }
-        }
-
-        if rng.gen_bool(0.3) {
-            gac.complete(id, now);
-        }
-    }
-    Ok(())
-}
-
 /// Whole-run differential for the adaptive control law: a seed-derived
 /// [`PidConfig`] and error stream stepped through the production
 /// [`pid_step`] and the exact-`i128` [`OraclePid`] in lockstep.
@@ -1815,7 +1686,7 @@ mod tests {
     fn net_scenarios_generate_message_layer_faults() {
         // Across a handful of seeds the generator must exercise the whole
         // net-specific op vocabulary, or the kind tests nothing new.
-        let mut kinds = [false; 6];
+        let mut kinds = [false; 8];
         for seed in 0..48u64 {
             for op in &Scenario::generate(ScenarioKind::Net, seed).ops {
                 match op {
@@ -1825,13 +1696,15 @@ mod tests {
                     Op::Join => kinds[3] = true,
                     Op::DrainNode { .. } => kinds[4] = true,
                     Op::RestartNode { .. } => kinds[5] = true,
+                    Op::WayFault { .. } => kinds[6] = true,
+                    Op::CoreFault { .. } => kinds[7] = true,
                     _ => {}
                 }
             }
         }
         assert_eq!(
-            kinds, [true; 6],
-            "partition/heal/drop/join/drain/restart all generated"
+            kinds, [true; 8],
+            "partition/heal/drop/join/drain/restart/way/core all generated"
         );
     }
 

@@ -7,10 +7,11 @@
 //! cargo run --release --example consolidation
 //! ```
 
-use cmpqos::qos::gac::{GlobalAdmissionController, ProbePolicy};
+use cmpqos::obs::NullRecorder;
+use cmpqos::qos::gac::ProbePolicy;
 use cmpqos::qos::target::Preset;
-use cmpqos::qos::{ExecutionMode, LacConfig};
-use cmpqos::types::{Cycles, JobId, Percent};
+use cmpqos::qos::{AdmissionRequest, Cluster, ExecutionMode, LacConfig, NetGacConfig};
+use cmpqos::types::{Cycles, JobId, NodeId, Percent};
 
 #[derive(Debug, Clone, Copy)]
 enum Sla {
@@ -41,8 +42,14 @@ impl Sla {
 }
 
 fn main() {
-    // A small server: two 4-core CMP nodes behind one GAC.
-    let mut gac = GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::LeastLoaded);
+    // A small server: two 4-core CMP nodes behind one GAC, in process.
+    let mut server = Cluster::in_process(
+        2,
+        LacConfig::default(),
+        NetGacConfig::default(),
+        ProbePolicy::LeastLoaded,
+    );
+    let mut rec = NullRecorder;
 
     let tw = Cycles::new(1_000_000);
     let submissions = [
@@ -59,12 +66,15 @@ fn main() {
     println!("{:<14} {:<7} {:<22} placement", "client", "SLA", "request");
     println!("{}", "-".repeat(64));
     for (i, (name, sla)) in submissions.iter().enumerate() {
+        let id = JobId::new(i as u32);
         let request = sla.preset().request();
-        let deadline = match sla.mode() {
-            ExecutionMode::Opportunistic => None,
-            _ => Some(Cycles::new(5_000_000)),
-        };
-        let (node, decision) = gac.submit(JobId::new(i as u32), sla.mode(), request, tw, deadline);
+        let mut req = AdmissionRequest::builder(id, request, tw).mode(sla.mode());
+        if sla.mode() != ExecutionMode::Opportunistic {
+            req = req.deadline(Cycles::new(5_000_000));
+        }
+        server.gac_mut().submit(req.build(), Cycles::ZERO, &mut rec);
+        server.run_until(Cycles::ZERO, &mut rec);
+        let (node, decision) = server.gac().decisions()[&id];
         let placement = match (node, decision.is_accepted()) {
             (Some(n), true) => format!("{n} @ start {:?}", decision.start().map(|c| c.get())),
             _ => format!("REJECTED ({decision:?})"),
@@ -73,8 +83,8 @@ fn main() {
     }
 
     println!();
-    for n in 0..gac.nodes() {
-        let lac = gac.lac(cmpqos::types::NodeId::new(n as u32));
+    for n in 0..server.nodes() {
+        let lac = server.endpoint(NodeId::new(n as u32)).backend();
         println!(
             "node{n}: {} reservations live, {} accepted / {} tests",
             lac.reservations().len(),

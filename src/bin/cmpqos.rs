@@ -66,13 +66,16 @@ usage:
                (times figure/table cells serial vs parallel plus component
                 micro-benchmarks; writes a schema-versioned BENCH_<git-sha>.json)
   cmpqos recover --journal <path> [--kind gac|lac] [--compact-every N]
-               (rebuilds admission state from a write-ahead reservation
-                journal, tolerating a torn or corrupted tail)
+               (rebuilds admission state from a write-ahead journal,
+                tolerating a torn or corrupted tail: `gac` replays the
+                journaled inputs of the global controller's cluster,
+                `lac` restores a node's snapshot and replays its ops;
+                --compact-every applies to `lac` only)
   cmpqos conform [--scale N] [--work N] [--seed N] [--jobs N]
                [--only fig1,fig8a,...] [--inject broken-guard|stuck-knob|frozen-lease|starve-tier]
                (machine-checks every EXPERIMENTS.md shape verdict;
                 exits nonzero if any check fails)
-  cmpqos explore [--scenarios N] [--seed N] [--kind lac|intake|scheduler|gac|batch|net|adapt|traffic|all]
+  cmpqos explore [--scenarios N] [--seed N] [--kind lac|intake|scheduler|batch|net|adapt|traffic|all]
                (differential explorer: random scenarios diffed against the
                 reference oracles; on divergence prints a shrunken
                 counterexample and a one-line repro, exits nonzero)
@@ -334,7 +337,7 @@ fn cmd_explore(flags: &HashMap<String, String>) -> Result<(), String> {
         None | Some("all") => ScenarioKind::ALL.to_vec(),
         Some(k) => vec![ScenarioKind::parse(k).ok_or_else(|| {
             format!(
-                "unknown --kind `{k}` (expected lac|intake|scheduler|gac|batch|net|adapt|traffic|all)"
+                "unknown --kind `{k}` (expected lac|intake|scheduler|batch|net|adapt|traffic|all)"
             )
         })?],
     };
@@ -394,7 +397,7 @@ fn cmd_traffic(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
-    use cmpqos::recovery::{JournaledGac, JournaledLac, RecoveryReport};
+    use cmpqos::recovery::{JournaledCluster, JournaledLac, RecoveryReport};
 
     let path = flags.get("journal").ok_or("--journal is required")?;
     let compact_every = get_num(flags, "compact-every", 64)?.max(1);
@@ -414,15 +417,16 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     match flags.get("kind").map(String::as_str).unwrap_or("gac") {
         "gac" => {
-            let (gac, report) = JournaledGac::recover(&jsonl, compact_every);
+            let (cluster, report) = JournaledCluster::recover(&jsonl);
             describe(&report);
+            let gac = cluster.cluster().gac();
             println!(
                 "  global controller: {} of {} node(s) live, {} active placement(s), \
                  journal at seq {}",
-                gac.gac().live_nodes(),
-                gac.gac().nodes(),
-                gac.gac().placements().len(),
-                gac.journal().next_seq()
+                gac.live_nodes(),
+                cluster.cluster().nodes(),
+                gac.placements().len(),
+                cluster.journal().next_seq()
             );
         }
         "lac" => {

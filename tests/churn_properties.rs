@@ -21,8 +21,8 @@ use cmpqos::faults::{Fault, FaultPlan};
 use cmpqos::net::LinkConfig;
 use cmpqos::obs::{NullRecorder, RingBufferRecorder};
 use cmpqos::qos::{
-    AdmissionRequest, Cluster, ExecutionMode, GlobalAdmissionController, Lac, LacConfig,
-    NetGacConfig, ProbePolicy, ResourceRequest,
+    AdmissionRequest, Cluster, ExecutionMode, Lac, LacConfig, NetGacConfig, ProbePolicy,
+    ResourceRequest,
 };
 use cmpqos::types::{Cycles, JobId, NodeId, Percent};
 use proptest::prelude::*;
@@ -44,12 +44,12 @@ fn lossless_churn(
         .jitter(jitter)
         .reorder(10)
         .duplicate(f64::from(dup_pct) / 100.0);
-    let mut config = NetGacConfig {
+    let config = NetGacConfig {
         heartbeat_every: Cycles::new(1_000),
         lease_ttl: Cycles::new(5_000),
+        dead_timeout: Cycles::new(5_000),
         ..NetGacConfig::default()
     };
-    config.gac.dead_timeout = Cycles::new(5_000);
     let mut cluster = Cluster::new(
         nodes,
         LacConfig::default(),
@@ -102,31 +102,38 @@ fn lossless_churn(
     (c.leases_expired, c.leases_renewed)
 }
 
-/// The admission decision stream of a quiet in-process GAC after optional
-/// drain-then-rejoin churn, rendered for byte comparison. Node ids are
-/// deliberately excluded: the drained slot's capacity comes back under the
-/// joined node's id, and that renaming is the only thing allowed to
-/// differ.
+/// The admission decision stream of a quiet in-process server after
+/// optional drain-then-rejoin churn, rendered for byte comparison. Node
+/// ids are deliberately excluded: the drained slot's capacity comes back
+/// under the joined node's id, and that renaming is the only thing allowed
+/// to differ.
 fn decision_stream(churned: Option<NodeId>, jobs: u32, stagger: u64, tw: u64) -> String {
-    let mut gac = GlobalAdmissionController::new(4, LacConfig::default(), ProbePolicy::FirstFit);
+    let mut server = Cluster::in_process(
+        4,
+        LacConfig::default(),
+        NetGacConfig::default(),
+        ProbePolicy::FirstFit,
+    );
     let mut rec = NullRecorder;
     if let Some(node) = churned {
         // Quiet cluster: nothing placed yet, so the drain migrates
         // nothing and the join restores the original capacity.
-        let _ = gac.drain_node(node, Cycles::new(5), &mut rec);
-        let _ = gac.join_node(Cycles::new(10), &mut rec);
+        server.drain_node(node, Cycles::new(5));
+        server.run_until(Cycles::new(5), &mut rec);
+        let _ = server.join_node(Lac::new(LacConfig::default()), Cycles::new(10));
+        server.run_until(Cycles::new(10), &mut rec);
     }
     let mut out = String::new();
     for i in 0..jobs {
         let now = Cycles::new(100 + u64::from(i) * stagger);
-        let _ = gac.advance(now);
-        let (_, decision) = gac.submit(
-            JobId::new(i),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(tw),
-            Some(now + Cycles::new(tw * 2)),
-        );
+        let req =
+            AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), Cycles::new(tw))
+                .deadline(now + Cycles::new(tw * 2))
+                .build();
+        server.run_until(now, &mut rec);
+        server.gac_mut().submit(req, now, &mut rec);
+        server.run_until(now, &mut rec);
+        let (_, decision) = server.gac().decisions()[&JobId::new(i)];
         out.push_str(&format!("{i}:{decision:?}\n"));
     }
     out

@@ -1,6 +1,6 @@
 //! Admission-control stress and edge-case integration tests.
 
-use cmpqos::qos::gac::{GlobalAdmissionController, ProbePolicy};
+use cmpqos::qos::gac::ProbePolicy;
 use cmpqos::qos::{
     AdmissionRequest, Decision, ExecutionMode, Lac, LacConfig, RejectReason, ResourceRequest,
 };
@@ -202,16 +202,25 @@ fn batch_admission_matches_the_sequential_stream() {
 
 #[test]
 fn gac_places_across_nodes_until_the_server_is_full() {
-    let mut gac = GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::FirstFit);
+    let mut server = cmpqos::qos::Cluster::in_process(
+        3,
+        LacConfig::default(),
+        cmpqos::qos::NetGacConfig::default(),
+        ProbePolicy::FirstFit,
+    );
+    let mut rec = cmpqos::obs::NullRecorder;
     let mut placements = Vec::new();
     for i in 0..7u32 {
-        let (node, d) = gac.submit(
+        let req = AdmissionRequest::builder(
             JobId::new(i),
-            ExecutionMode::Strict,
             ResourceRequest::paper_job(),
             Cycles::new(100),
-            Some(Cycles::new(104)), // tight: must start immediately
-        );
+        )
+        .deadline(Cycles::new(104)) // tight: must start immediately
+        .build();
+        server.gac_mut().submit(req, Cycles::ZERO, &mut rec);
+        server.run_until(Cycles::ZERO, &mut rec);
+        let (node, d) = server.gac().decisions()[&JobId::new(i)];
         if d.is_accepted() {
             placements.push(node.unwrap());
         }

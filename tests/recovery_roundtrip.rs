@@ -5,8 +5,10 @@
 //! and a corrupted journal tail is truncated at the last valid checksum
 //! instead of panicking or replaying garbage.
 
-use cmpqos::qos::{AdmissionRequest, ExecutionMode, Lac, LacConfig, ProbePolicy, ResourceRequest};
-use cmpqos::recovery::{JournaledGac, JournaledLac};
+use cmpqos::qos::{
+    AdmissionRequest, ExecutionMode, Lac, LacConfig, NetGacConfig, ProbePolicy, ResourceRequest,
+};
+use cmpqos::recovery::{JournaledCluster, JournaledLac};
 use cmpqos::types::{Cycles, JobId, Percent, Ways};
 use proptest::prelude::*;
 
@@ -141,40 +143,54 @@ proptest! {
     }
 
     /// The same contract end-to-end for the global controller: crash after
-    /// any op sequence, recover, and the whole multi-node server (health
-    /// map, placements, FCFS tables) is byte-identical.
+    /// any input sequence, recover, and the whole multi-node server (health
+    /// map, placements, decisions, every node's FCFS table) is
+    /// byte-identical.
     #[test]
     fn recovery_reconstructs_the_exact_gac(
-        ops in proptest::collection::vec((0u8..4, 0u64..8_000, 0u64..64), 1..40),
+        ops in proptest::collection::vec((0u8..5, 0u64..8_000, 0u64..64), 1..40),
     ) {
-        use cmpqos::qos::GlobalAdmissionController;
-        let mut live = JournaledGac::new(
-            GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::LeastLoaded),
-            COMPACT_EVERY,
+        let mut live = JournaledCluster::new(
+            3,
+            LacConfig::default(),
+            NetGacConfig::default(),
+            ProbePolicy::LeastLoaded,
         );
+        let rec = &mut cmpqos::obs::NullRecorder;
         let mut now = 0u64;
         for (i, &(kind, a, b)) in ops.iter().enumerate() {
-            let id = JobId::new(i as u32);
             match kind {
                 0 | 1 => {
-                    let _ = live.submit(
-                        id,
-                        mode_of(b),
+                    let req = AdmissionRequest::builder(
+                        JobId::new(i as u32),
                         ResourceRequest::paper_job(),
                         Cycles::new(500 + a % 2_000),
-                        Some(Cycles::new(now + 30_000)),
-                    );
+                    )
+                    .mode(mode_of(b))
+                    .deadline(Cycles::new(now + 30_000))
+                    .build();
+                    live.submit(req, Cycles::new(now), rec);
                 }
                 2 => {
                     now += a % 1_500;
-                    let _ = live.advance(Cycles::new(now));
+                    live.run_until(Cycles::new(now), rec);
                 }
-                _ => live.complete(JobId::new((a % (i as u64 + 1)) as u32), Cycles::new(now)),
+                3 => live.revoke(JobId::new((a % (i as u64 + 1)) as u32)),
+                _ => {
+                    let node = cmpqos::types::NodeId::new((b % 3) as u32);
+                    let fault = match a % 3 {
+                        0 => cmpqos::faults::Fault::WayFault { node, way: 0 },
+                        1 => cmpqos::faults::Fault::ProbeLoss { node, count: 1 },
+                        _ => cmpqos::faults::Fault::NodeFault { node },
+                    };
+                    live.apply(cmpqos::faults::Injection { at: Cycles::new(now), fault }, rec);
+                }
             }
         }
-        let (recovered, report) = JournaledGac::recover(&live.to_jsonl(), COMPACT_EVERY);
+        let (recovered, report) = JournaledCluster::recover(&live.to_jsonl());
         prop_assert!(report.is_lossless(), "intact journal lost records: {report:?}");
-        prop_assert_eq!(recovered.gac(), live.gac());
+        // Debug renders every table, queue, the network, and its RNG.
+        prop_assert_eq!(format!("{:?}", recovered.cluster()), format!("{:?}", live.cluster()));
         prop_assert_eq!(recovered.journal().next_seq(), live.journal().next_seq());
     }
 }

@@ -22,7 +22,6 @@ fn explorer_finds_no_divergences_in_any_scenario_kind() {
         (ScenarioKind::Lac, 12, 0xA11),
         (ScenarioKind::Intake, 12, 0xB22),
         (ScenarioKind::Scheduler, 3, 0xC33),
-        (ScenarioKind::Gac, 6, 0xD44),
         (ScenarioKind::Net, 6, 0xE55),
         (ScenarioKind::Traffic, 12, 0xF66),
     ] {
