@@ -1,15 +1,15 @@
 //! Component micro-benchmarks: cache access paths, synthetic trace
-//! generation, admission tests (Section 7.5's cost scaling) and raw node
-//! simulation throughput.
+//! generation and admission tests (Section 7.5's cost scaling). Raw node
+//! simulation throughput is timed by `cmpqos bench`
+//! (`node_four_pinned_gobmk`, ns per simulated instruction).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use cmpqos_cache::{CacheConfig, DuplicateTagMonitor, L1Cache, PartitionPolicy, SharedL2};
 use cmpqos_core::{AdmissionRequest, Lac, LacConfig, ResourceRequest};
-use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
 use cmpqos_trace::{spec, TraceSource};
-use cmpqos_types::{CoreId, Cycles, Instructions, JobId, Ways};
+use cmpqos_types::{CoreId, Cycles, JobId, Ways};
 
 fn bench_l1(c: &mut Criterion) {
     let mut group = c.benchmark_group("l1_cache");
@@ -119,38 +119,5 @@ fn bench_lac(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_node(c: &mut Criterion) {
-    let mut group = c.benchmark_group("node_throughput");
-    group.sample_size(10);
-    let instrs = 200_000u64;
-    group.throughput(Throughput::Elements(instrs * 4));
-    group.bench_function("four_pinned_gobmk", |b| {
-        b.iter(|| {
-            let mut node = CmpNode::new(SystemConfig::paper_scaled(8));
-            node.set_l2_targets(&[Ways::new(4); 4]).unwrap();
-            let profile = spec::scaled("gobmk", 8).unwrap();
-            for i in 0..4u32 {
-                node.spawn(TaskSpec {
-                    id: JobId::new(i),
-                    source: Box::new(profile.instantiate(u64::from(i), u64::from(i) << 40)),
-                    budget: Instructions::new(instrs),
-                    placement: Placement::Pinned(CoreId::new(i)),
-                    reserved: true,
-                })
-                .unwrap();
-            }
-            black_box(node.run_to_completion(Cycles::new(u64::MAX / 4)))
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_l1,
-    bench_l2,
-    bench_trace,
-    bench_lac,
-    bench_node
-);
+criterion_group!(benches, bench_l1, bench_l2, bench_trace, bench_lac);
 criterion_main!(benches);

@@ -33,7 +33,8 @@ pub struct CacheConfig {
 /// Derived geometry of a cache: the set count and address-slicing shifts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
-    sets: u32,
+    /// `log2` of the set count (validated to be a power of two).
+    set_bits: u32,
     associativity: u16,
     block_shift: u32,
 }
@@ -111,7 +112,7 @@ impl CacheConfig {
             block_size,
             latency,
             geometry: CacheGeometry {
-                sets: sets as u32,
+                set_bits: sets.trailing_zeros(),
                 associativity,
                 block_shift: bs.trailing_zeros(),
             },
@@ -183,7 +184,7 @@ impl CacheGeometry {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> u32 {
-        self.sets
+        1 << self.set_bits
     }
 
     /// Number of ways.
@@ -194,23 +195,25 @@ impl CacheGeometry {
 
     /// Splits a byte address into `(tag, set index)`.
     #[must_use]
+    #[inline]
     pub fn slice(&self, addr: u64) -> (u64, u32) {
         let block = addr >> self.block_shift;
-        let set = (block % u64::from(self.sets)) as u32;
-        let tag = block / u64::from(self.sets);
+        let set = (block & (u64::from(self.sets()) - 1)) as u32;
+        let tag = block >> self.set_bits;
         (tag, set)
     }
 
     /// Reconstructs the block byte address from `(tag, set)`.
     #[must_use]
+    #[inline]
     pub fn unslice(&self, tag: u64, set: u32) -> u64 {
-        (tag * u64::from(self.sets) + u64::from(set)) << self.block_shift
+        ((tag << self.set_bits) + u64::from(set)) << self.block_shift
     }
 
     /// Total number of cache lines.
     #[must_use]
     pub fn lines(&self) -> usize {
-        self.sets as usize * self.associativity as usize
+        self.sets() as usize * self.associativity as usize
     }
 }
 

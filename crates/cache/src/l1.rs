@@ -61,6 +61,7 @@ impl L1Cache {
     }
 
     /// Performs one access at byte address `addr`; `is_write` marks stores.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> L1Outcome {
         let geom = self.config.geometry();
         let (tag, set) = geom.slice(addr);

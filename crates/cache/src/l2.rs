@@ -446,6 +446,7 @@ impl SharedL2 {
     /// # Panics
     ///
     /// Panics if `core` is out of range for this cache.
+    #[inline]
     pub fn access(&mut self, core: CoreId, addr: u64, is_write: bool) -> L2Outcome {
         let c = core.as_usize();
         assert!(c < self.num_cores, "core {core} out of range");

@@ -103,15 +103,18 @@ impl ExecutionContext {
 
     /// Issues the next instruction: accumulates its base cost and returns
     /// `(base_cycles, access)`.
+    #[inline]
     pub fn issue(&mut self) -> (Cycles, Option<Access>) {
         let event = self.source.next_instruction();
         self.frac += self.source.base_cpi();
-        let whole = self.frac.floor();
-        self.frac -= whole;
-        (Cycles::new(whole as u64), event.access)
+        // The accumulator is non-negative, so truncation is `floor`.
+        let whole = self.frac as u64;
+        self.frac -= whole as f64;
+        (Cycles::new(whole), event.access)
     }
 
     /// Completes a memory instruction issued with `base` cycles.
+    #[inline]
     pub fn complete(&mut self, base: Cycles, outcome: MemOutcome) {
         self.perf.charge_base(base);
         self.perf.record_l1_access();
@@ -124,6 +127,7 @@ impl ExecutionContext {
     }
 
     /// Completes a compute-only instruction issued with `base` cycles.
+    #[inline]
     pub fn complete_compute(&mut self, base: Cycles) {
         self.perf.charge_base(base);
         self.perf.retire(base);

@@ -86,6 +86,7 @@ impl Throttle {
     ///
     /// At speed 100 this returns `cycles` unchanged and does not touch the
     /// remainder accumulator.
+    #[inline]
     pub fn scale(&mut self, cycles: Cycles) -> Cycles {
         if self.speed_pct == FULL_SPEED_PCT {
             return cycles;

@@ -9,8 +9,9 @@
 //!   entry carries wall time, cells/second and the measured speedup of
 //!   the `cmpqos-engine` worker pool over serial execution;
 //! * **component micro-benchmarks** — the engine's own dispatch
-//!   overhead, one solo simulation cell, event-shard merging and JSONL
-//!   timeline parsing, timed over fixed iteration counts.
+//!   overhead, one solo simulation cell, the node's cost per simulated
+//!   instruction, event-shard merging and JSONL timeline parsing, timed
+//!   over fixed iteration counts.
 //!
 //! A panicking experiment becomes a failed entry (its `error` field is
 //! set), not a torn-down report — mirroring the engine's own
@@ -503,7 +504,50 @@ fn component_benches(params: &ExperimentParams) -> Vec<ComponentBench> {
         let _ = reporter.summary();
     });
 
+    out.push(node_four_pinned_gobmk());
     out
+}
+
+/// Simulated instructions per core in [`node_four_pinned_gobmk`].
+const NODE_BENCH_INSTRS: u64 = 200_000;
+
+/// Raw simulator throughput: four pinned gobmk jobs of
+/// [`NODE_BENCH_INSTRS`] each on one scale-8 node, run to completion.
+/// One iteration is one simulated instruction, so `ns_per_iter` is the
+/// node's cost per simulated instruction; it is the fastest of three runs
+/// and independent of the bench's scale and work settings.
+fn node_four_pinned_gobmk() -> ComponentBench {
+    use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
+    use cmpqos_types::{CoreId, Cycles, Instructions, JobId, Ways};
+
+    let instrs = NODE_BENCH_INSTRS * 4;
+    let mut runs_ms = Vec::new();
+    let profile = cmpqos_trace::spec::scaled("gobmk", 8).expect("gobmk is a known benchmark");
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        let mut node = CmpNode::new(SystemConfig::paper_scaled(8));
+        node.set_l2_targets(&[Ways::new(4); 4])
+            .expect("four 4-way partitions fit a 16-way L2");
+        for i in 0..4u32 {
+            node.spawn(TaskSpec {
+                id: JobId::new(i),
+                source: Box::new(profile.instantiate(u64::from(i), u64::from(i) << 40)),
+                budget: Instructions::new(NODE_BENCH_INSTRS),
+                placement: Placement::Pinned(CoreId::new(i)),
+                reserved: true,
+            })
+            .expect("one job per core");
+        }
+        std::hint::black_box(node.run_to_completion(Cycles::new(u64::MAX / 4)));
+        runs_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    let wall_ms = runs_ms.iter().copied().fold(f64::INFINITY, f64::min);
+    ComponentBench {
+        name: "node_four_pinned_gobmk".to_string(),
+        iters: instrs as u32,
+        wall_ms,
+        ns_per_iter: wall_ms * 1e6 / instrs as f64,
+    }
 }
 
 /// Runs the full benchmark suite at `params` fidelity and pool width.
@@ -581,6 +625,13 @@ mod tests {
         assert_eq!(r.jobs, 2);
         assert!(!r.figures.is_empty());
         assert!(!r.components.is_empty());
+        let node = r
+            .components
+            .iter()
+            .find(|c| c.name == "node_four_pinned_gobmk")
+            .expect("the node throughput component is reported");
+        assert_eq!(u64::from(node.iters), NODE_BENCH_INSTRS * 4);
+        assert!(node.ns_per_iter > 0.0);
         for f in &r.figures {
             assert!(f.error.is_none(), "{}: {:?}", f.name, f.error);
             assert!(f.wall_ms > 0.0 && f.serial_ms > 0.0, "{} timed", f.name);

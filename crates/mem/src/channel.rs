@@ -135,6 +135,7 @@ impl MemoryChannel {
     ///
     /// Requests must be issued in non-decreasing time order; issuing one in
     /// the past is clamped to the last update time.
+    #[inline]
     pub fn request(&mut self, now: Cycles, priority: Priority) -> Cycles {
         self.drain_to(now);
         let wait = match priority {
@@ -152,6 +153,7 @@ impl MemoryChannel {
 
     /// Registers a write-back transfer at time `now`. Write-backs occupy
     /// bandwidth (low priority) but nothing waits on their completion.
+    #[inline]
     pub fn writeback(&mut self, now: Cycles) {
         self.drain_to(now);
         self.backlog_opportunistic += self.transfer.get();
@@ -170,6 +172,7 @@ impl MemoryChannel {
         }
     }
 
+    #[inline]
     fn drain_to(&mut self, now: Cycles) {
         if now <= self.last_update {
             return;

@@ -50,6 +50,7 @@ impl BusMonitor {
     }
 
     /// Records `busy` cycles of channel occupancy at time `now`.
+    #[inline]
     pub fn record_busy(&mut self, now: Cycles, busy: Cycles) {
         self.roll(now);
         self.busy_in_window += busy.get();
@@ -69,6 +70,7 @@ impl BusMonitor {
         self.utilization(now) >= threshold
     }
 
+    #[inline]
     fn roll(&mut self, now: Cycles) {
         while now >= self.window_start + self.window {
             self.last_utilization =

@@ -85,6 +85,7 @@ impl BandwidthRegulator {
     /// # Panics
     ///
     /// Panics if `consumer` is out of range.
+    #[inline]
     pub fn delay(&mut self, consumer: usize, now: Cycles, transfer: Cycles) -> Cycles {
         let share = f64::from(self.shares[consumer]) / 100.0;
         if share >= 1.0 {

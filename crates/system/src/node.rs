@@ -6,7 +6,6 @@ use cmpqos_cache::l2::{Eviction, PartitionError, WayMaskError};
 use cmpqos_cache::{DuplicateTagMonitor, L1Cache, SharedL2, VictimClass};
 use cmpqos_cpu::{MemOutcome, PerfCounters, Throttle};
 use cmpqos_mem::{BandwidthRegulator, BusMonitor, MemoryChannel, Priority};
-use cmpqos_trace::Access;
 use cmpqos_types::{CoreId, Cycles, JobId, Ways};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -16,7 +15,9 @@ const BUS_WINDOW: Cycles = Cycles::new(100_000);
 #[derive(Debug)]
 struct CoreState {
     pinned: Option<JobId>,
-    current: Option<JobId>,
+    /// The task executing on this core. It lives here, not in
+    /// [`CmpNode::tasks`], from dispatch until it is preempted or completes.
+    running: Option<Task>,
     last_task: Option<JobId>,
     next_free: Cycles,
     quantum_end: Cycles,
@@ -28,12 +29,104 @@ impl CoreState {
     fn new() -> Self {
         Self {
             pinned: None,
-            current: None,
+            running: None,
             last_task: None,
             next_free: Cycles::ZERO,
             quantum_end: Cycles::ZERO,
             throttle: Throttle::full(),
         }
+    }
+
+    fn running_id(&self) -> Option<JobId> {
+        self.running.as_ref().map(|t| t.id)
+    }
+}
+
+/// How a core's batch ended.
+enum BatchEnd {
+    /// The core's clock passed the batch limit or reached the deadline.
+    Limit,
+    /// The quantum expired with floating work waiting.
+    Quantum,
+    /// The task retired its last instruction.
+    Completed,
+}
+
+/// Everything below the private L1s: the shared L2, the memory channel,
+/// its bandwidth regulator and the bus monitor. A separate struct so a
+/// core's batch can hold its task and L1 while it reaches these.
+#[derive(Debug)]
+struct Uncore {
+    l2: SharedL2,
+    mem: MemoryChannel,
+    bus: BusMonitor,
+    regulator: BandwidthRegulator,
+    l2_latency: Cycles,
+    transfer: Cycles,
+    /// `log2` of the L2 block size: monitors observe block addresses.
+    block_shift: u32,
+}
+
+impl Uncore {
+    /// A state-only L2 access (L1 write-backs, flush traffic): updates
+    /// cache contents, the monitor and bandwidth, but nothing stalls on it.
+    fn touch(
+        &mut self,
+        core: CoreId,
+        monitor: Option<&mut DuplicateTagMonitor>,
+        addr: u64,
+        when: Cycles,
+    ) {
+        let out = self.l2.access(core, addr, true);
+        if let Some(mon) = monitor {
+            mon.observe(out.set, addr >> self.block_shift, out.hit);
+        }
+        if out.eviction.is_some_and(|ev| ev.dirty) {
+            self.writeback(when);
+        }
+    }
+
+    /// The demand fill of an L1 miss issued at `when`: a read from the
+    /// L2's perspective (write-allocate; the dirty bit lives in the L1
+    /// until written back). An L2 hit stall sits in the core's clock
+    /// domain, so it stretches under the core's DVFS `throttle`; a miss is
+    /// paced by the unthrottled off-chip channel instead.
+    fn fill(
+        &mut self,
+        core: CoreId,
+        monitor: Option<&mut DuplicateTagMonitor>,
+        addr: u64,
+        when: Cycles,
+        priority: Priority,
+        throttle: &mut Throttle,
+    ) -> MemOutcome {
+        let out = self.l2.access(core, addr, false);
+        if let Some(mon) = monitor {
+            mon.observe(out.set, addr >> self.block_shift, out.hit);
+        }
+        if out.hit {
+            return MemOutcome::L2Hit {
+                stall: throttle.scale(self.l2_latency),
+            };
+        }
+        if out.eviction.is_some_and(|ev| ev.dirty) {
+            self.writeback(when);
+        }
+        // Bandwidth regulation throttles the *core* (its next request is
+        // delayed by the extended stall), keeping channel bookkeeping in
+        // global time order.
+        let issue = when + self.l2_latency;
+        let throttle = self.regulator.delay(core.as_usize(), issue, self.transfer);
+        let completion = self.mem.request(issue, priority);
+        self.bus.record_busy(when, self.transfer);
+        MemOutcome::L2Miss {
+            stall: completion - when + throttle,
+        }
+    }
+
+    fn writeback(&mut self, when: Cycles) {
+        self.mem.writeback(when);
+        self.bus.record_busy(when, self.transfer);
     }
 }
 
@@ -47,16 +140,16 @@ pub struct CmpNode {
     cfg: SystemConfig,
     now: Cycles,
     cores: Vec<CoreState>,
+    /// Live tasks that are not on a core.
     tasks: BTreeMap<JobId, Task>,
     finished: BTreeMap<JobId, (PerfCounters, TaskCompletion)>,
     /// Ready floating tasks not currently on a core, in round-robin order.
     floating: VecDeque<JobId>,
     l1s: Vec<L1Cache>,
-    l2: SharedL2,
-    mem: MemoryChannel,
-    bus: BusMonitor,
+    uncore: Uncore,
+    /// Monitors of ids that are not live (a finished task's stays until
+    /// detached); a live task carries its own.
     monitors: BTreeMap<JobId, DuplicateTagMonitor>,
-    regulator: BandwidthRegulator,
     completions: Vec<TaskCompletion>,
 }
 
@@ -84,19 +177,24 @@ impl CmpNode {
     pub fn try_new(cfg: SystemConfig) -> Result<Self, SystemConfigError> {
         cfg.validate()?;
         let l1s = (0..cfg.num_cores).map(|_| L1Cache::new(cfg.l1)).collect();
-        let l2 = SharedL2::try_new(cfg.l2, cfg.num_cores, cfg.partition_policy)?;
-        let mem = MemoryChannel::new(cfg.memory);
+        let transfer = cfg.memory.transfer_cycles();
+        let uncore = Uncore {
+            l2: SharedL2::try_new(cfg.l2, cfg.num_cores, cfg.partition_policy)?,
+            mem: MemoryChannel::new(cfg.memory),
+            bus: BusMonitor::new(BUS_WINDOW),
+            regulator: BandwidthRegulator::new(cfg.num_cores, transfer * 10),
+            l2_latency: cfg.l2.latency(),
+            transfer,
+            block_shift: cfg.l2.block_size().bytes().trailing_zeros(),
+        };
         Ok(Self {
             cores: (0..cfg.num_cores).map(|_| CoreState::new()).collect(),
             tasks: BTreeMap::new(),
             finished: BTreeMap::new(),
             floating: VecDeque::new(),
             l1s,
-            l2,
-            mem,
-            bus: BusMonitor::new(BUS_WINDOW),
+            uncore,
             monitors: BTreeMap::new(),
-            regulator: BandwidthRegulator::new(cfg.num_cores, cfg.memory.transfer_cycles() * 10),
             completions: Vec::new(),
             now: Cycles::ZERO,
             cfg,
@@ -126,7 +224,7 @@ impl CmpNode {
     /// Returns [`SpawnError`] for duplicate ids, bad pin targets or empty
     /// budgets.
     pub fn spawn(&mut self, spec: TaskSpec) -> Result<(), SpawnError> {
-        if self.tasks.contains_key(&spec.id) {
+        if self.is_live(spec.id) {
             return Err(SpawnError::DuplicateId(spec.id));
         }
         if spec.budget.get() == 0 {
@@ -142,7 +240,8 @@ impl CmpNode {
         }
         let id = spec.id;
         let placement = spec.placement;
-        let task = Task::new(spec, self.now);
+        let mut task = Task::new(spec, self.now);
+        task.monitor = self.monitors.remove(&id);
         self.tasks.insert(id, task);
         match placement {
             Placement::Pinned(core) => {
@@ -163,7 +262,7 @@ impl CmpNode {
     /// for bad targets, or [`SpawnError::DuplicateId`] if the task is not
     /// live (id reported back).
     pub fn repin(&mut self, id: JobId, core: CoreId) -> Result<(), SpawnError> {
-        if !self.tasks.contains_key(&id) {
+        if !self.is_live(id) {
             return Err(SpawnError::DuplicateId(id));
         }
         let Some(state) = self.cores.get(core.as_usize()) else {
@@ -174,10 +273,9 @@ impl CmpNode {
         }
         // Remove from the floating pool / its current core.
         self.floating.retain(|&j| j != id);
-        for c in &mut self.cores {
-            if c.current == Some(id) {
-                c.current = None;
-            }
+        if let Some(c) = self.cores.iter_mut().find(|c| c.running_id() == Some(id)) {
+            let task = c.running.take().expect("found running");
+            self.tasks.insert(id, task);
         }
         let task = self.tasks.get_mut(&id).expect("checked live above");
         task.placement = Placement::Pinned(core);
@@ -190,7 +288,7 @@ impl CmpNode {
     /// Sets a live task's memory priority (Reserved vs Opportunistic).
     /// Unknown ids are ignored.
     pub fn set_reserved(&mut self, id: JobId, reserved: bool) {
-        if let Some(task) = self.tasks.get_mut(&id) {
+        if let Some(task) = self.live_mut(id) {
             task.priority = if reserved {
                 Priority::Reserved
             } else {
@@ -208,7 +306,7 @@ impl CmpNode {
     ///
     /// Propagates [`PartitionError`] from the cache.
     pub fn set_l2_targets(&mut self, targets: &[Ways]) -> Result<(), PartitionError> {
-        self.l2.set_targets(targets)
+        self.uncore.l2.set_targets(targets)
     }
 
     /// [`CmpNode::set_l2_targets`], additionally emitting
@@ -224,25 +322,25 @@ impl CmpNode {
         recorder: &mut dyn cmpqos_obs::Recorder,
     ) -> Result<(), PartitionError> {
         let now = self.now;
-        self.l2.set_targets_recorded(targets, now, recorder)
+        self.uncore.l2.set_targets_recorded(targets, now, recorder)
     }
 
     /// Current L2 partition targets.
     #[must_use]
     pub fn l2_targets(&self) -> &[Ways] {
-        self.l2.targets()
+        self.uncore.l2.targets()
     }
 
     /// Read-only view of the shared L2 (stats, occupancy).
     #[must_use]
     pub fn l2(&self) -> &SharedL2 {
-        &self.l2
+        &self.uncore.l2
     }
 
     /// L2 ways still usable (associativity minus masked faulty ways).
     #[must_use]
     pub fn l2_usable_ways(&self) -> Ways {
-        Ways::new(self.l2.effective_associativity())
+        Ways::new(self.uncore.l2.effective_associativity())
     }
 
     /// Masks a faulty L2 way (see [`SharedL2::mask_way`]): the way is
@@ -253,35 +351,43 @@ impl CmpNode {
     ///
     /// Propagates [`WayMaskError`] from the cache.
     pub fn mask_l2_way(&mut self, way: u16) -> Result<Vec<Eviction>, WayMaskError> {
-        self.l2.mask_way(way)
+        self.uncore.l2.mask_way(way)
     }
 
     /// Attaches a duplicate-tag monitor to a live task, modelling
     /// `original_ways` (its allocation before stealing).
     pub fn attach_monitor(&mut self, id: JobId, original_ways: Ways) {
         let sets = self.cfg.l2.geometry().sets();
-        self.monitors.insert(
-            id,
-            DuplicateTagMonitor::new(original_ways, sets, self.cfg.shadow_sample_every),
-        );
+        let monitor = DuplicateTagMonitor::new(original_ways, sets, self.cfg.shadow_sample_every);
+        match self.live_mut(id) {
+            Some(task) => task.monitor = Some(monitor),
+            None => {
+                self.monitors.insert(id, monitor);
+            }
+        }
     }
 
     /// Detaches and returns a task's monitor.
     pub fn detach_monitor(&mut self, id: JobId) -> Option<DuplicateTagMonitor> {
-        self.monitors.remove(&id)
+        match self.live_mut(id) {
+            Some(task) => task.monitor.take(),
+            None => self.monitors.remove(&id),
+        }
     }
 
     /// The task's monitor, if attached.
     #[must_use]
     pub fn monitor(&self, id: JobId) -> Option<&DuplicateTagMonitor> {
-        self.monitors.get(&id)
+        match self.live(id) {
+            Some(task) => task.monitor.as_ref(),
+            None => self.monitors.get(&id),
+        }
     }
 
     /// Performance counters of a live or finished task.
     #[must_use]
     pub fn perf(&self, id: JobId) -> Option<&PerfCounters> {
-        self.tasks
-            .get(&id)
+        self.live(id)
             .map(|t| t.ctx.perf())
             .or_else(|| self.finished.get(&id).map(|(p, _)| p))
     }
@@ -289,19 +395,21 @@ impl CmpNode {
     /// Remaining instruction budget of a live task.
     #[must_use]
     pub fn remaining(&self, id: JobId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.remaining)
+        self.live(id).map(|t| t.remaining)
     }
 
     /// Whether the task is still live (spawned and not completed).
     #[must_use]
     pub fn is_live(&self, id: JobId) -> bool {
-        self.tasks.contains_key(&id)
+        self.live(id).is_some()
     }
 
     /// The task currently executing on `core`.
     #[must_use]
     pub fn running_on(&self, core: CoreId) -> Option<JobId> {
-        self.cores.get(core.as_usize()).and_then(|c| c.current)
+        self.cores
+            .get(core.as_usize())
+            .and_then(CoreState::running_id)
     }
 
     /// The task pinned to `core`.
@@ -330,7 +438,7 @@ impl CmpNode {
     ///
     /// Panics if `core` is out of range.
     pub fn set_bandwidth_share(&mut self, core: CoreId, percent: u8) {
-        self.regulator.set_share(core.as_usize(), percent);
+        self.uncore.regulator.set_share(core.as_usize(), percent);
     }
 
     /// The configured bandwidth share of `core`.
@@ -340,7 +448,7 @@ impl CmpNode {
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn bandwidth_share(&self, core: CoreId) -> u8 {
-        self.regulator.share(core.as_usize())
+        self.uncore.regulator.share(core.as_usize())
     }
 
     /// Sets `core`'s DVFS-style speed (percent of full frequency, clamped
@@ -370,19 +478,27 @@ impl CmpNode {
     #[must_use]
     pub fn bus_utilization(&mut self) -> f64 {
         let now = self.now;
-        self.bus.utilization(now)
+        self.uncore.bus.utilization(now)
     }
 
     /// Runs the node until simulation time `deadline`: every instruction
     /// *starting* before `deadline` is executed.
+    ///
+    /// Each batch runs the active core with the earliest clock (the lowest
+    /// index on a tie) until its clock passes every other active core's.
+    /// Dispatch only has work after an outside call, a completion, a
+    /// preemption or a dispatch that changed something, so it runs only
+    /// then.
     pub fn run_until(&mut self, deadline: Cycles) {
+        let mut dirty = true;
         loop {
-            self.dispatch();
-            let Some(c) = self.pick_core(deadline) else {
+            if dirty {
+                dirty = self.dispatch();
+            }
+            let Some((core, limit)) = self.next_batch(deadline) else {
                 break;
             };
-            let limit = self.batch_limit(c, deadline);
-            self.run_core(c, limit, deadline);
+            dirty |= self.run_core(core, limit, deadline);
         }
         self.now = self.now.max(deadline);
     }
@@ -390,7 +506,7 @@ impl CmpNode {
     /// Runs until all live tasks complete or `hard_cap` is reached.
     /// Returns the time the last task finished (or `hard_cap`).
     pub fn run_to_completion(&mut self, hard_cap: Cycles) -> Cycles {
-        while !self.tasks.is_empty() && self.now < hard_cap {
+        while self.has_live_tasks() && self.now < hard_cap {
             let next = (self.now + Cycles::new(1_000_000)).min(hard_cap);
             self.run_until(next);
         }
@@ -401,262 +517,261 @@ impl CmpNode {
             .unwrap_or(self.now)
     }
 
+    // ----- task lookup --------------------------------------------------
+
+    fn live(&self, id: JobId) -> Option<&Task> {
+        self.tasks.get(&id).or_else(|| {
+            self.cores
+                .iter()
+                .find_map(|c| c.running.as_ref().filter(|t| t.id == id))
+        })
+    }
+
+    fn live_mut(&mut self, id: JobId) -> Option<&mut Task> {
+        find_live(&mut self.tasks, &mut self.cores, id)
+    }
+
+    fn has_live_tasks(&self) -> bool {
+        !self.tasks.is_empty() || self.cores.iter().any(|c| c.running.is_some())
+    }
+
     // ----- scheduling ---------------------------------------------------
 
     /// Victim class of a core: Reserved iff its pinned occupant holds
     /// reserved resources.
     fn refresh_core_class(&mut self, core: usize) {
-        let class = match self.cores[core].pinned {
-            Some(id)
-                if self
-                    .tasks
-                    .get(&id)
-                    .is_some_and(|t| t.priority == Priority::Reserved) =>
-            {
-                VictimClass::Reserved
-            }
-            _ => VictimClass::Opportunistic,
+        let reserved = self.cores[core]
+            .pinned
+            .and_then(|id| self.live(id))
+            .is_some_and(|t| t.priority == Priority::Reserved);
+        let class = if reserved {
+            VictimClass::Reserved
+        } else {
+            VictimClass::Opportunistic
         };
-        self.l2.set_class(CoreId::new(core as u32), class);
+        self.uncore.l2.set_class(CoreId::new(core as u32), class);
     }
 
-    fn dispatch(&mut self) {
+    /// Preempts floating tasks from newly pinned cores and puts a task on
+    /// every idle core that has one. Returns whether anything changed.
+    fn dispatch(&mut self) -> bool {
+        let mut changed = false;
         for i in 0..self.cores.len() {
             // Lazy preemption: a floating task on a newly pinned core yields.
-            if let (Some(cur), Some(pin)) = (self.cores[i].current, self.cores[i].pinned) {
+            let core = &self.cores[i];
+            if let (Some(cur), Some(pin)) = (core.running_id(), core.pinned) {
                 if cur != pin {
                     self.preempt(i);
+                    changed = true;
                 }
             }
-            if self.cores[i].current.is_some() {
+            if self.cores[i].running.is_some() {
                 continue;
             }
-            let candidate = match self.cores[i].pinned {
-                Some(p) if self.tasks.contains_key(&p) => Some(p),
-                Some(_) | None => {
-                    if self.cores[i].pinned.is_some() {
-                        None // pinned task not live yet/anymore
-                    } else {
-                        self.floating.pop_front()
-                    }
-                }
+            // A pinned core waits for its pinned task (not live yet or
+            // anymore: `None`); a free core takes the next floating task.
+            let task = match self.cores[i].pinned {
+                Some(p) => self.tasks.remove(&p),
+                None => self.floating.pop_front().map(|id| {
+                    self.tasks
+                        .remove(&id)
+                        .expect("floating tasks are live and off-core")
+                }),
             };
-            let Some(id) = candidate else { continue };
-            self.assign(i, id);
+            if let Some(task) = task {
+                self.assign(i, task);
+                changed = true;
+            }
         }
+        changed
     }
 
-    fn assign(&mut self, core: usize, id: JobId) {
-        let task = self.tasks.get_mut(&id).expect("assigning a live task");
+    fn assign(&mut self, core: usize, mut task: Task) {
         let start = self.cores[core].next_free.max(task.ready_at);
         task.started_at.get_or_insert(start);
-        let switching = self.cores[core].last_task != Some(id);
         let mut begin = start;
-        if switching && self.cores[core].last_task.is_some() {
+        if let Some(outgoing) = self.cores[core].last_task.filter(|&o| o != task.id) {
             begin += self.cfg.context_switch_cost;
             if self.cfg.flush_l1_on_switch {
-                let outgoing = self.cores[core].last_task;
                 self.flush_l1(core, outgoing, begin);
             }
         }
         let quantum = self.cfg.timeslice.max(Cycles::new(1));
         let c = &mut self.cores[core];
-        c.current = Some(id);
-        c.last_task = Some(id);
+        c.last_task = Some(task.id);
+        c.running = Some(task);
         c.next_free = begin;
         c.quantum_end = begin + quantum;
     }
 
     fn preempt(&mut self, core: usize) {
-        let Some(id) = self.cores[core].current.take() else {
+        let c = &mut self.cores[core];
+        let Some(mut task) = c.running.take() else {
             return;
         };
-        let when = self.cores[core].next_free;
-        if let Some(task) = self.tasks.get_mut(&id) {
-            task.ready_at = when;
-            if task.placement == Placement::Floating {
-                self.floating.push_back(id);
+        task.ready_at = c.next_free;
+        if task.placement == Placement::Floating {
+            self.floating.push_back(task.id);
+        }
+        self.tasks.insert(task.id, task);
+    }
+
+    fn complete(&mut self, core: usize) {
+        let c = &mut self.cores[core];
+        let mut task = c.running.take().expect("a completing core runs a task");
+        let id = task.id;
+        let record = TaskCompletion {
+            id,
+            started_at: task.started_at.expect("dispatch stamps the start"),
+            finished_at: c.next_free,
+        };
+        if c.pinned == Some(id) {
+            c.pinned = None;
+        }
+        if let Some(monitor) = task.monitor.take() {
+            self.monitors.insert(id, monitor);
+        }
+        self.completions.push(record);
+        self.finished.insert(id, (*task.ctx.perf(), record));
+        self.refresh_core_class(core);
+    }
+
+    /// The next batch, from one pass over the cores: the active core with
+    /// the earliest clock before `deadline` (the lowest index on a tie),
+    /// and how far it may run — up to the earliest clock among the other
+    /// active cores, so none of them falls behind.
+    fn next_batch(&self, deadline: Cycles) -> Option<(usize, Cycles)> {
+        let mut best: Option<(usize, Cycles)> = None;
+        let mut limit = deadline;
+        for (i, c) in self.cores.iter().enumerate() {
+            if c.running.is_none() {
+                continue;
+            }
+            let t = c.next_free;
+            match best {
+                Some((_, b)) if t >= b => limit = limit.min(t),
+                _ if t < deadline => {
+                    if let Some((_, b)) = best {
+                        limit = limit.min(b);
+                    }
+                    best = Some((i, t));
+                }
+                _ => {}
             }
         }
+        best.map(|(i, _)| (i, limit))
     }
 
-    fn pick_core(&self, deadline: Cycles) -> Option<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.current.is_some() && c.next_free < deadline)
-            .min_by_key(|(_, c)| c.next_free)
-            .map(|(i, _)| i)
-    }
-
-    /// How far core `c` may run without other active cores falling behind.
-    fn batch_limit(&self, c: usize, deadline: Cycles) -> Cycles {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| *i != c && s.current.is_some())
-            .map(|(_, s)| s.next_free)
-            .min()
-            .unwrap_or(deadline)
-            .min(deadline)
-    }
-
-    fn run_core(&mut self, core: usize, limit: Cycles, deadline: Cycles) {
-        loop {
-            let Some(id) = self.cores[core].current else {
-                return;
-            };
-            let next_free = self.cores[core].next_free;
-            if next_free > limit || next_free >= deadline {
-                return;
+    /// Runs `core`'s task while its clock is at most `limit` and before
+    /// `deadline`. The core keeps running at a clock equal to `limit`.
+    /// Returns whether the batch ended in a completion or a preemption.
+    fn run_core(&mut self, core: usize, limit: Cycles, deadline: Cycles) -> bool {
+        let Self {
+            cfg,
+            cores,
+            floating,
+            l1s,
+            uncore,
+            ..
+        } = self;
+        let state = &mut cores[core];
+        let task = state.running.as_mut().expect("a picked core runs a task");
+        let l1 = &mut l1s[core];
+        let core_id = CoreId::new(core as u32);
+        let priority = task.priority;
+        let quantum = cfg.timeslice.max(Cycles::new(1));
+        let rotate = !floating.is_empty();
+        let mut clock = state.next_free;
+        let end = loop {
+            if clock > limit || clock >= deadline {
+                break BatchEnd::Limit;
             }
             // Quantum rotation for floating tasks.
-            if next_free >= self.cores[core].quantum_end {
-                if self.floating.is_empty() {
-                    self.cores[core].quantum_end =
-                        next_free + self.cfg.timeslice.max(Cycles::new(1));
-                } else {
-                    self.preempt(core);
-                    return;
+            if clock >= state.quantum_end {
+                if rotate {
+                    break BatchEnd::Quantum;
                 }
+                state.quantum_end = clock + quantum;
             }
-            self.execute_one(core, id);
-        }
-    }
-
-    fn execute_one(&mut self, core: usize, id: JobId) {
-        let when = self.cores[core].next_free;
-        let task = self.tasks.get_mut(&id).expect("current task is live");
-        let priority = task.priority;
-        let (raw_base, access) = task.ctx.issue();
-        // DVFS throttle: compute cycles stretch in the core's clock domain.
-        let base = self.cores[core].throttle.scale(raw_base);
-        let cost = match access {
-            Some(acc) => {
-                let outcome = self.hierarchy_access(core, id, acc, when + base, priority);
-                let task = self.tasks.get_mut(&id).expect("still live");
-                task.ctx.complete(base, outcome);
-                base + outcome.stall()
-            }
-            None => {
-                task.ctx.complete_compute(base);
-                base
+            let (raw_base, access) = task.ctx.issue();
+            // DVFS throttle: compute cycles stretch in the core's clock domain.
+            let base = state.throttle.scale(raw_base);
+            let cost = match access {
+                Some(acc) => {
+                    let when = clock + base;
+                    let l1_out = l1.access(acc.addr(), acc.is_write());
+                    let outcome = if l1_out.hit {
+                        MemOutcome::L1Hit
+                    } else {
+                        // Dirty L1 victim written back into the L2.
+                        if let Some(wb) = l1_out.writeback {
+                            uncore.touch(core_id, task.monitor.as_mut(), wb, when);
+                        }
+                        let mon = task.monitor.as_mut();
+                        let throttle = &mut state.throttle;
+                        uncore.fill(core_id, mon, acc.addr(), when, priority, throttle)
+                    };
+                    task.ctx.complete(base, outcome);
+                    base + outcome.stall()
+                }
+                None => {
+                    task.ctx.complete_compute(base);
+                    base
+                }
+            };
+            task.remaining -= 1;
+            clock += cost;
+            if task.remaining == 0 {
+                break BatchEnd::Completed;
             }
         };
-        let task = self.tasks.get_mut(&id).expect("still live");
-        task.remaining -= 1;
-        let finish = when + cost;
-        self.cores[core].next_free = finish;
-        if task.remaining == 0 {
-            let started = task.started_at.unwrap_or(when);
-            let perf = *task.ctx.perf();
-            self.tasks.remove(&id);
-            let record = TaskCompletion {
-                id,
-                started_at: started,
-                finished_at: finish,
-            };
-            self.completions.push(record);
-            self.finished.insert(id, (perf, record));
-            let c = &mut self.cores[core];
-            c.current = None;
-            if c.pinned == Some(id) {
-                c.pinned = None;
+        state.next_free = clock;
+        match end {
+            BatchEnd::Limit => false,
+            BatchEnd::Quantum => {
+                self.preempt(core);
+                true
             }
-            self.refresh_core_class(core);
-        }
-    }
-
-    // ----- memory hierarchy ---------------------------------------------
-
-    fn hierarchy_access(
-        &mut self,
-        core: usize,
-        id: JobId,
-        access: Access,
-        when: Cycles,
-        priority: Priority,
-    ) -> MemOutcome {
-        let l1 = &mut self.l1s[core];
-        let out = l1.access(access.addr(), access.is_write());
-        if out.hit {
-            return MemOutcome::L1Hit;
-        }
-        let core_id = CoreId::new(core as u32);
-        // Dirty L1 victim written back into the L2.
-        if let Some(wb) = out.writeback {
-            self.l2_touch(core_id, Some(id), wb, true, when);
-        }
-        // Demand fill: a read from the L2's perspective (write-allocate; the
-        // dirty bit lives in the L1 until written back).
-        let t2 = self.cfg.l2.latency();
-        let l2_out = self.l2.access(core_id, access.addr(), false);
-        self.feed_monitor(id, l2_out.set, access.addr(), l2_out.hit);
-        if l2_out.hit {
-            // The L2 hit stall sits in the core's clock domain, so it
-            // stretches under the DVFS throttle; the miss path below is
-            // paced by the (unthrottled) off-chip channel instead.
-            let stall = self.cores[core].throttle.scale(t2);
-            return MemOutcome::L2Hit { stall };
-        }
-        if let Some(ev) = l2_out.eviction {
-            if ev.dirty {
-                self.mem_writeback(when);
-            }
-        }
-        // Bandwidth regulation throttles the *core* (its next request is
-        // delayed by the extended stall), keeping channel bookkeeping in
-        // global time order.
-        let transfer = self.cfg.memory.transfer_cycles();
-        let throttle = self.regulator.delay(core, when + t2, transfer);
-        let issue = when + t2;
-        let completion = self.mem.request(issue, priority);
-        self.bus.record_busy(when, transfer);
-        MemOutcome::L2Miss {
-            stall: completion - when + throttle,
-        }
-    }
-
-    /// A state-only L2 access (L1 write-backs, flush traffic): updates cache
-    /// contents, monitors and bandwidth, but nothing stalls on it.
-    fn l2_touch(
-        &mut self,
-        core_id: CoreId,
-        task: Option<JobId>,
-        addr: u64,
-        is_write: bool,
-        when: Cycles,
-    ) {
-        let out = self.l2.access(core_id, addr, is_write);
-        if let Some(id) = task {
-            self.feed_monitor(id, out.set, addr, out.hit);
-        }
-        if let Some(ev) = out.eviction {
-            if ev.dirty {
-                self.mem_writeback(when);
+            BatchEnd::Completed => {
+                self.complete(core);
+                true
             }
         }
     }
 
-    fn feed_monitor(&mut self, id: JobId, set: u32, addr: u64, main_hit: bool) {
-        if let Some(mon) = self.monitors.get_mut(&id) {
-            let block = addr / self.cfg.l2.block_size().bytes();
-            mon.observe(set, block, main_hit);
-        }
-    }
-
-    fn mem_writeback(&mut self, when: Cycles) {
-        self.mem.writeback(when);
-        self.bus
-            .record_busy(when, self.cfg.memory.transfer_cycles());
-    }
-
-    fn flush_l1(&mut self, core: usize, outgoing: Option<JobId>, when: Cycles) {
+    /// Writes `core`'s dirty L1 lines back to the L2 on a switch away from
+    /// `outgoing`, which may be off-core, on another core or finished.
+    fn flush_l1(&mut self, core: usize, outgoing: JobId, when: Cycles) {
         let dirty = self.l1s[core].flush();
         let core_id = CoreId::new(core as u32);
+        let Self {
+            tasks,
+            cores,
+            monitors,
+            uncore,
+            ..
+        } = self;
+        let mut monitor = match find_live(tasks, cores, outgoing) {
+            Some(task) => task.monitor.as_mut(),
+            None => monitors.get_mut(&outgoing),
+        };
         for addr in dirty {
-            self.l2_touch(core_id, outgoing, addr, true, when);
+            uncore.touch(core_id, monitor.as_deref_mut(), addr, when);
         }
+    }
+}
+
+/// The live task `id`, whether off a core (`tasks`) or on one.
+fn find_live<'a>(
+    tasks: &'a mut BTreeMap<JobId, Task>,
+    cores: &'a mut [CoreState],
+    id: JobId,
+) -> Option<&'a mut Task> {
+    match tasks.get_mut(&id) {
+        Some(task) => Some(task),
+        None => cores
+            .iter_mut()
+            .find_map(|c| c.running.as_mut().filter(|t| t.id == id)),
     }
 }
 

@@ -1,5 +1,6 @@
 //! Tasks: the schedulable unit the node executes.
 
+use cmpqos_cache::DuplicateTagMonitor;
 use cmpqos_cpu::ExecutionContext;
 use cmpqos_mem::Priority;
 use cmpqos_trace::TraceSource;
@@ -84,17 +85,21 @@ impl std::error::Error for SpawnError {}
 /// Internal live-task state.
 #[derive(Debug)]
 pub(crate) struct Task {
+    pub(crate) id: JobId,
     pub(crate) ctx: ExecutionContext,
     pub(crate) remaining: u64,
     pub(crate) placement: Placement,
     pub(crate) priority: Priority,
     pub(crate) ready_at: Cycles,
     pub(crate) started_at: Option<Cycles>,
+    /// The task's duplicate-tag monitor, if one is attached.
+    pub(crate) monitor: Option<DuplicateTagMonitor>,
 }
 
 impl Task {
     pub(crate) fn new(spec: TaskSpec, now: Cycles) -> Self {
         Self {
+            id: spec.id,
             ctx: ExecutionContext::new(spec.source),
             remaining: spec.budget.get(),
             placement: spec.placement,
@@ -105,6 +110,7 @@ impl Task {
             },
             ready_at: now,
             started_at: None,
+            monitor: None,
         }
     }
 }

@@ -235,7 +235,10 @@ impl AccessMixture {
                 let blocks = region.bytes() / BLOCK_BYTES;
                 let cursor = &mut self.cursors[idx];
                 let blk = *cursor;
-                *cursor = (*cursor + 1) % blocks.max(1);
+                *cursor += 1;
+                if *cursor >= blocks {
+                    *cursor = 0;
+                }
                 (region_base + blk * BLOCK_BYTES, *write_fraction)
             }
         };

@@ -196,3 +196,242 @@ fn equal_part_style_timesharing_misses_more_than_dedicated() {
         "overcommit stretches wall-clock: {mean_over} vs {ded_wall}"
     );
 }
+
+// ----- golden schedule digests ---------------------------------------------
+//
+// Each scenario below drives a node through a fixed sequence of spawns,
+// mid-run reconfigurations and `run_until` deadlines, and folds every
+// task's `PerfCounters` and `TaskCompletion` (plus, where attached, its
+// monitor counts and which task each core runs) into one FNV-1a digest at
+// every checkpoint. The digests pin the exact instruction schedule: any
+// change to which core runs next, how ties break, when a quantum rotates
+// or when a task is picked up moves them.
+
+/// FNV-1a over the `Debug` rendering of everything fed to it.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, value: &impl std::fmt::Debug) {
+        for b in format!("{value:?}").bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Every id's counters and completion record, and each core's occupant.
+    fn checkpoint(&mut self, n: &CmpNode, ids: &[u32]) {
+        self.feed(&n.now());
+        for &i in ids {
+            let id = JobId::new(i);
+            self.feed(&(i, n.perf(id), n.completion(id), n.remaining(id)));
+            if let Some(m) = n.monitor(id) {
+                self.feed(&m.counts());
+            }
+        }
+        for c in 0..n.config().num_cores as u32 {
+            self.feed(&n.running_on(CoreId::new(c)));
+        }
+    }
+}
+
+/// Runs `n` to `t`, checkpointing `ids` into `d`.
+fn step(n: &mut CmpNode, d: &mut Digest, t: u64, ids: &[u32]) {
+    n.run_until(Cycles::new(t));
+    d.checkpoint(n, ids);
+}
+
+fn finish(mut n: CmpNode, mut d: Digest, ids: &[u32]) -> u64 {
+    let end = n.run_to_completion(Cycles::new(u64::MAX / 4));
+    d.feed(&end);
+    d.feed(&n.take_completions());
+    d.checkpoint(&n, ids);
+    d.0
+}
+
+#[test]
+fn golden_four_pinned_jobs_with_tied_clocks() {
+    // Four pinned jobs all start at cycle 0, so every core's clock is
+    // tied at the first pick; deadlines land mid-instruction.
+    let mut n = node();
+    n.set_l2_targets(&[Ways::new(4); 4]).unwrap();
+    let benches = ["gobmk", "bzip2", "namd", "gobmk"];
+    for (i, b) in benches.iter().enumerate() {
+        let i = i as u32;
+        n.spawn(task(i, b, 60_000, Placement::Pinned(CoreId::new(i))))
+            .unwrap();
+    }
+    let ids = [0, 1, 2, 3];
+    let mut d = Digest::new();
+    for t in [1, 2, 3, 50, 1_000, 33_333, 100_001] {
+        step(&mut n, &mut d, t, &ids);
+    }
+    assert_eq!(finish(n, d, &ids), 0xf8e3_73b7_a83e_4a5b);
+}
+
+#[test]
+fn golden_ten_floating_jobs_rotate_and_switch() {
+    let mut n = CmpNode::new(SystemConfig {
+        timeslice: Cycles::new(15_000),
+        context_switch_cost: Cycles::new(700),
+        flush_l1_on_switch: true,
+        ..SystemConfig::paper_scaled(K)
+    });
+    n.set_l2_targets(&[Ways::new(4); 4]).unwrap();
+    let benches = ["libquantum", "gobmk", "bzip2", "mcf", "namd"];
+    for i in 0..10u32 {
+        let b = benches[i as usize % benches.len()];
+        n.spawn(task(
+            i,
+            b,
+            25_000 + 3_000 * u64::from(i),
+            Placement::Floating,
+        ))
+        .unwrap();
+    }
+    let ids: Vec<u32> = (0..10).collect();
+    let mut d = Digest::new();
+    for t in [10_000, 15_000, 15_001, 90_000, 400_000] {
+        step(&mut n, &mut d, t, &ids);
+    }
+    assert_eq!(finish(n, d, &ids), 0xa8fc_8eb1_4c92_37c6);
+}
+
+#[test]
+fn golden_repin_and_set_reserved_mid_run() {
+    let mut n = CmpNode::new(SystemConfig {
+        timeslice: Cycles::new(20_000),
+        ..SystemConfig::paper_scaled(K)
+    });
+    n.set_l2_targets(&[Ways::new(6), Ways::new(4), Ways::new(3), Ways::new(3)])
+        .unwrap();
+    n.spawn(task(0, "bzip2", 80_000, Placement::Pinned(CoreId::new(0))))
+        .unwrap();
+    for i in 1..6u32 {
+        n.spawn(task(i, "gobmk", 40_000, Placement::Floating))
+            .unwrap();
+    }
+    let ids: Vec<u32> = (0..7).collect();
+    let mut d = Digest::new();
+    step(&mut n, &mut d, 30_000, &ids);
+    // Re-pin a floating task onto a core another floating task runs on.
+    n.repin(JobId::new(3), CoreId::new(2)).unwrap();
+    n.set_reserved(JobId::new(3), true);
+    step(&mut n, &mut d, 60_000, &ids);
+    n.set_reserved(JobId::new(0), false);
+    n.set_reserved(JobId::new(4), true);
+    // A late pinned spawn preempts whatever floats on core 1.
+    n.spawn(task(6, "namd", 30_000, Placement::Pinned(CoreId::new(1))))
+        .unwrap();
+    step(&mut n, &mut d, 120_000, &ids);
+    n.repin(JobId::new(5), CoreId::new(3)).unwrap();
+    step(&mut n, &mut d, 200_000, &ids);
+    assert_eq!(finish(n, d, &ids), 0xe639_d457_1b0d_b795);
+}
+
+#[test]
+fn golden_masked_l2_way_mid_run() {
+    let mut n = node();
+    n.set_l2_targets(&[Ways::new(5), Ways::new(5), Ways::new(3), Ways::new(3)])
+        .unwrap();
+    for i in 0..4u32 {
+        let b = if i % 2 == 0 { "bzip2" } else { "mcf" };
+        n.spawn(task(i, b, 50_000, Placement::Pinned(CoreId::new(i))))
+            .unwrap();
+    }
+    let ids = [0, 1, 2, 3];
+    let mut d = Digest::new();
+    step(&mut n, &mut d, 80_000, &ids);
+    let evicted = n.mask_l2_way(3).unwrap();
+    d.feed(&evicted.len());
+    step(&mut n, &mut d, 160_000, &ids);
+    n.mask_l2_way(11).unwrap();
+    step(&mut n, &mut d, 240_000, &ids);
+    assert_eq!(finish(n, d, &ids), 0xe1de_1ff1_d3b2_0475);
+}
+
+#[test]
+fn golden_throttled_core_and_bandwidth_share() {
+    let mut n = node();
+    n.set_l2_targets(&[Ways::new(4); 4]).unwrap();
+    n.set_core_speed(CoreId::new(1), 50);
+    n.set_core_speed(CoreId::new(2), 75);
+    n.set_bandwidth_share(CoreId::new(0), 20);
+    n.set_bandwidth_share(CoreId::new(3), 35);
+    let benches = ["libquantum", "gobmk", "bzip2", "mcf"];
+    for (i, b) in benches.iter().enumerate() {
+        let i = i as u32;
+        n.spawn(task(i, b, 40_000, Placement::Pinned(CoreId::new(i))))
+            .unwrap();
+    }
+    let ids = [0, 1, 2, 3];
+    let mut d = Digest::new();
+    step(&mut n, &mut d, 100_000, &ids);
+    n.set_core_speed(CoreId::new(1), 100);
+    n.set_bandwidth_share(CoreId::new(0), 100);
+    step(&mut n, &mut d, 200_000, &ids);
+    assert_eq!(finish(n, d, &ids), 0x2c12_21ba_09d0_01bc);
+}
+
+#[test]
+fn golden_attached_monitors() {
+    let mut n = CmpNode::new(SystemConfig {
+        timeslice: Cycles::new(25_000),
+        ..SystemConfig::paper_scaled(K)
+    });
+    n.set_l2_targets(&[Ways::new(7), Ways::new(5), Ways::new(2), Ways::new(2)])
+        .unwrap();
+    n.spawn(task(0, "bzip2", 60_000, Placement::Pinned(CoreId::new(0))))
+        .unwrap();
+    n.spawn(task(1, "mcf", 60_000, Placement::Pinned(CoreId::new(1))))
+        .unwrap();
+    for i in 2..5u32 {
+        n.spawn(task(i, "gobmk", 30_000, Placement::Floating))
+            .unwrap();
+    }
+    n.attach_monitor(JobId::new(0), Ways::new(7));
+    n.attach_monitor(JobId::new(1), Ways::new(7));
+    n.attach_monitor(JobId::new(3), Ways::new(2));
+    let ids: Vec<u32> = (0..5).collect();
+    let mut d = Digest::new();
+    step(&mut n, &mut d, 70_000, &ids);
+    // Stealing-style shrink mid-run: the monitors keep the old allocation.
+    n.set_l2_targets(&[Ways::new(4), Ways::new(4), Ways::new(4), Ways::new(4)])
+        .unwrap();
+    step(&mut n, &mut d, 150_000, &ids);
+    let detached = n.detach_monitor(JobId::new(3)).map(|m| m.counts());
+    d.feed(&detached);
+    assert_eq!(finish(n, d, &ids), 0xab54_2400_f46e_4f58);
+}
+
+#[test]
+fn golden_pin_preempts_a_float_past_an_idle_lower_core() {
+    // Dispatch scans cores in index order, so the floating task a new pin
+    // preempts on core 2 is only picked up by idle core 0 on the next
+    // dispatch: the run loop must dispatch again after a dispatch that
+    // changed something.
+    let mut n = node();
+    n.set_l2_targets(&[Ways::new(4); 4]).unwrap();
+    n.spawn(task(0, "namd", 5_000, Placement::Pinned(CoreId::new(0))))
+        .unwrap();
+    n.spawn(task(1, "gobmk", 60_000, Placement::Pinned(CoreId::new(1))))
+        .unwrap();
+    n.spawn(task(3, "bzip2", 60_000, Placement::Pinned(CoreId::new(3))))
+        .unwrap();
+    n.spawn(task(4, "gobmk", 60_000, Placement::Floating))
+        .unwrap();
+    let ids = [0, 1, 2, 3, 4];
+    let mut d = Digest::new();
+    step(&mut n, &mut d, 100_000, &ids);
+    assert!(n.completion(JobId::new(0)).is_some());
+    assert_eq!(n.running_on(CoreId::new(0)), None);
+    assert_eq!(n.running_on(CoreId::new(2)), Some(JobId::new(4)));
+    n.spawn(task(2, "namd", 20_000, Placement::Pinned(CoreId::new(2))))
+        .unwrap();
+    step(&mut n, &mut d, 200_000, &ids);
+    assert_eq!(n.running_on(CoreId::new(0)), Some(JobId::new(4)));
+    assert_eq!(finish(n, d, &ids), 0x01c0_c97b_8d6e_545e);
+}
