@@ -10,8 +10,9 @@
 //!   the `cmpqos-engine` worker pool over serial execution;
 //! * **component micro-benchmarks** — the engine's own dispatch
 //!   overhead, one solo simulation cell, the node's cost per simulated
-//!   instruction, event-shard merging and JSONL timeline parsing, timed
-//!   over fixed iteration counts.
+//!   instruction, the cost of one L1 hit, one partitioned L2 miss and one
+//!   generated trace instruction, event-shard merging and JSONL timeline
+//!   parsing, timed over fixed iteration counts.
 //!
 //! A panicking experiment becomes a failed entry (its `error` field is
 //! set), not a torn-down report — mirroring the engine's own
@@ -133,113 +134,59 @@ pub fn git_sha() -> String {
     "unknown".to_string()
 }
 
-/// One timed experiment: `run` takes the params to use (the harness
-/// calls it once with `jobs = 1` and once with the requested width).
-struct Timed {
-    name: &'static str,
-    cells: usize,
-    run: Box<dyn Fn(&ExperimentParams)>,
-}
+/// One timed experiment: its name, its cell count and the run, which the
+/// harness calls once with `jobs = 1` and once at the requested width.
+type Timed = (&'static str, usize, fn(&ExperimentParams));
 
-fn timed_experiments(params: &ExperimentParams) -> Vec<Timed> {
-    let benches = ["gobmk", "hmmer", "bzip2"];
+const FIG5_BENCHES: [&str; 3] = ["gobmk", "hmmer", "bzip2"];
+
+fn timed_experiments() -> [Timed; 12] {
     let configs = cmpqos_workloads::Configuration::all().len();
-    vec![
-        Timed {
-            name: "fig1_motivation",
-            cells: 4,
-            run: Box::new(|p| {
-                let _ = fig1::run(p);
-            }),
-        },
-        Timed {
-            name: "table1_characteristics",
-            cells: 3,
-            run: Box::new(|p| {
-                let _ = table1::run(p);
-            }),
-        },
-        Timed {
-            name: "fig5_hit_rate_throughput",
-            cells: benches.len() * configs,
-            run: Box::new(move |p| {
-                let _ = fig5::run_for(p, &benches);
-            }),
-        },
-        Timed {
-            name: "fig6_wallclock_by_mode",
-            cells: configs,
-            run: Box::new(|p| {
-                let _ = fig6::run_bench(p, "gobmk");
-            }),
-        },
-        Timed {
-            name: "fig7_execution_trace",
-            cells: 2,
-            run: Box::new(|p| {
-                let _ = fig7::run_bench(p, "gobmk", 8);
-            }),
-        },
-        Timed {
-            name: "fig8_stealing_two_slacks",
-            cells: 3,
-            run: Box::new(|p| {
-                let _ = fig8::run_bench(p, "bzip2", &[5.0, 20.0]);
-            }),
-        },
-        Timed {
-            name: "fig9_mix1",
-            cells: configs,
-            run: Box::new(|p| {
-                let _ = fig9::run_mix(p, cmpqos_workloads::WorkloadSpec::mix1());
-            }),
-        },
-        Timed {
-            name: "lac_overhead",
-            cells: 3,
-            run: Box::new(|p| {
-                let _ = lac_overhead::run(p);
-            }),
-        },
-        Timed {
-            name: "chaos_four_seeds",
-            cells: 4,
-            run: Box::new({
-                let events = params.events.clone();
-                move |p| {
-                    let mut cp = crate::chaos::ChaosParams::standard();
-                    cp.events.clone_from(&events);
-                    let _ = crate::chaos::run_many(&cp, &[1, 2, 3, 4], p.jobs);
-                }
-            }),
-        },
-        Timed {
-            name: "overload",
-            cells: crate::overload::RATES.len(),
-            run: Box::new(|p| {
-                let _ = crate::overload::run(p);
-            }),
-        },
-        Timed {
-            name: "slo_adaptive_grid",
-            cells: crate::slo::MIXES.len() * crate::slo::ARMS.len(),
-            run: Box::new(|p| {
-                let _ = crate::slo::run(p);
-            }),
-        },
-        Timed {
-            name: "traffic_scenario",
-            cells: 4,
-            run: Box::new(|p| {
-                let _ = crate::traffic::run(p);
-            }),
-        },
+    [
+        ("fig1_motivation", 4, |p| drop(fig1::run(p))),
+        ("table1_characteristics", 3, |p| drop(table1::run(p))),
+        (
+            "fig5_hit_rate_throughput",
+            FIG5_BENCHES.len() * configs,
+            |p| {
+                drop(fig5::run_for(p, &FIG5_BENCHES));
+            },
+        ),
+        ("fig6_wallclock_by_mode", configs, |p| {
+            drop(fig6::run_bench(p, "gobmk"))
+        }),
+        ("fig7_execution_trace", 2, |p| {
+            drop(fig7::run_bench(p, "gobmk", 8))
+        }),
+        ("fig8_stealing_two_slacks", 3, |p| {
+            drop(fig8::run_bench(p, "bzip2", &[5.0, 20.0]));
+        }),
+        ("fig9_mix1", configs, |p| {
+            drop(fig9::run_mix(p, cmpqos_workloads::WorkloadSpec::mix1()));
+        }),
+        ("lac_overhead", 3, |p| drop(lac_overhead::run(p))),
+        ("chaos_four_seeds", 4, |p| {
+            let mut cp = crate::chaos::ChaosParams::standard();
+            cp.events.clone_from(&p.events);
+            drop(crate::chaos::run_many(&cp, &[1, 2, 3, 4], p.jobs));
+        }),
+        ("overload", crate::overload::RATES.len(), |p| {
+            drop(crate::overload::run(p))
+        }),
+        (
+            "slo_adaptive_grid",
+            crate::slo::MIXES.len() * crate::slo::ARMS.len(),
+            |p| {
+                drop(crate::slo::run(p));
+            },
+        ),
+        ("traffic_scenario", 4, |p| drop(crate::traffic::run(p))),
     ]
 }
 
-fn time_one(exp: &Timed, params: &ExperimentParams) -> Result<f64, String> {
+fn time_one(run: fn(&ExperimentParams), params: &ExperimentParams) -> Result<f64, String> {
     let t0 = Instant::now();
-    catch_unwind(AssertUnwindSafe(|| (exp.run)(params)))
+    catch_unwind(AssertUnwindSafe(|| run(params)))
         .map(|()| t0.elapsed().as_secs_f64() * 1e3)
         .map_err(|e| {
             e.downcast_ref::<String>()
@@ -249,21 +196,26 @@ fn time_one(exp: &Timed, params: &ExperimentParams) -> Result<f64, String> {
         })
 }
 
+/// Times `iters` calls of `f` in one loop compiled for `f` (no dynamic
+/// call per iteration unless `f` is itself a `dyn FnMut`).
+fn time_iters(name: &str, iters: u32, mut f: impl FnMut()) -> ComponentBench {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    ComponentBench {
+        name: name.to_string(),
+        iters,
+        wall_ms,
+        ns_per_iter: wall_ms * 1e6 / f64::from(iters.max(1)),
+    }
+}
+
 fn component_benches(params: &ExperimentParams) -> Vec<ComponentBench> {
     let mut out = Vec::new();
-    let mut timed = |name: &str, iters: u32, f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        out.push(ComponentBench {
-            name: name.to_string(),
-            iters,
-            wall_ms,
-            ns_per_iter: wall_ms * 1e6 / f64::from(iters.max(1)),
-        });
-    };
+    let mut timed =
+        |name: &str, iters: u32, f: &mut dyn FnMut()| out.push(time_iters(name, iters, f));
 
     // Raw pool dispatch overhead: 64 no-op cells per iteration.
     let engine = cmpqos_engine::Engine::new(params.jobs);
@@ -273,13 +225,7 @@ fn component_benches(params: &ExperimentParams) -> Vec<ComponentBench> {
 
     // One solo simulation cell (the unit of every figure).
     timed("solo_run_one_cell", 3, &mut || {
-        let _ = cmpqos_workloads::calibrate::solo_run(
-            "gobmk",
-            cmpqos_types::Ways::new(7),
-            params.work,
-            params.scale,
-            params.seed,
-        );
+        std::hint::black_box(params.solo("gobmk", 7));
     });
 
     // Event-shard merging (the serialization point of parallel runs).
@@ -504,8 +450,42 @@ fn component_benches(params: &ExperimentParams) -> Vec<ComponentBench> {
         let _ = reporter.summary();
     });
 
+    out.extend(per_call_components());
     out.push(node_four_pinned_gobmk());
     out
+}
+
+/// Calls in each [`per_call_components`] timing.
+const PER_CALL_ITERS: u32 = 1_000_000;
+
+/// The simulator's innermost calls, in ns per call: an L1 hit, an L2
+/// miss under per-set partitioning (a 64-byte stride from four cores, so
+/// every access misses and evicts) and one gobmk trace instruction.
+fn per_call_components() -> [ComponentBench; 3] {
+    use cmpqos_cache::{CacheConfig, L1Cache, PartitionPolicy, SharedL2};
+    use cmpqos_trace::TraceSource;
+    use cmpqos_types::{CoreId, Ways};
+    use std::hint::black_box;
+
+    let mut l1 = L1Cache::new(CacheConfig::paper_l1());
+    l1.access(0x1000, false);
+    let mut l2 = SharedL2::new(CacheConfig::paper_l2(), 4, PartitionPolicy::PerSet);
+    l2.set_targets(&[Ways::new(4); 4]).expect("4 x 4 ways fit");
+    let mut addr = 0u64;
+    let gobmk = cmpqos_trace::spec::benchmark("gobmk").expect("a known benchmark");
+    let mut trace = gobmk.instantiate(1, 0);
+    [
+        time_iters("l1_access_hit", PER_CALL_ITERS, || {
+            black_box(l1.access(black_box(0x1000), false));
+        }),
+        time_iters("l2_miss_stream_per_set", PER_CALL_ITERS, || {
+            addr += 64;
+            black_box(l2.access(CoreId::new((addr / 64 % 4) as u32), addr, false));
+        }),
+        time_iters("trace_next_instruction_gobmk", PER_CALL_ITERS, || {
+            black_box(trace.next_instruction());
+        }),
+    ]
 }
 
 /// Simulated instructions per core in [`node_four_pinned_gobmk`].
@@ -555,9 +535,9 @@ fn node_four_pinned_gobmk() -> ComponentBench {
 pub fn run(params: &ExperimentParams) -> BenchReport {
     let mut serial = params.clone();
     serial.jobs = 1;
-    let figures = timed_experiments(params)
-        .iter()
-        .map(|exp| {
+    let figures = timed_experiments()
+        .into_iter()
+        .map(|(name, cells, exp)| {
             let serial_res = time_one(exp, &serial);
             let parallel_res = if params.jobs == 1 {
                 serial_res.clone()
@@ -566,12 +546,12 @@ pub fn run(params: &ExperimentParams) -> BenchReport {
             };
             match (serial_res, parallel_res) {
                 (Ok(serial_ms), Ok(wall_ms)) => FigureBench {
-                    name: exp.name.to_string(),
-                    cells: exp.cells,
+                    name: name.to_string(),
+                    cells,
                     wall_ms,
                     serial_ms,
                     cells_per_sec: if wall_ms > 0.0 {
-                        exp.cells as f64 * 1e3 / wall_ms
+                        cells as f64 * 1e3 / wall_ms
                     } else {
                         0.0
                     },
@@ -583,8 +563,8 @@ pub fn run(params: &ExperimentParams) -> BenchReport {
                     error: None,
                 },
                 (a, b) => FigureBench {
-                    name: exp.name.to_string(),
-                    cells: exp.cells,
+                    name: name.to_string(),
+                    cells,
                     wall_ms: 0.0,
                     serial_ms: 0.0,
                     cells_per_sec: 0.0,
@@ -632,6 +612,19 @@ mod tests {
             .expect("the node throughput component is reported");
         assert_eq!(u64::from(node.iters), NODE_BENCH_INSTRS * 4);
         assert!(node.ns_per_iter > 0.0);
+        let per_call = [
+            "l1_access_hit",
+            "l2_miss_stream_per_set",
+            "trace_next_instruction_gobmk",
+        ];
+        for name in per_call {
+            let c = r.components.iter().find(|c| c.name == name);
+            let c = c.unwrap_or_else(|| panic!("{name} is reported"));
+            assert!(
+                c.iters == PER_CALL_ITERS && c.ns_per_iter > 0.0,
+                "{name} timed"
+            );
+        }
         for f in &r.figures {
             assert!(f.error.is_none(), "{}: {:?}", f.name, f.error);
             assert!(f.wall_ms > 0.0 && f.serial_ms > 0.0, "{} timed", f.name);

@@ -3,6 +3,6 @@
 use cmpqos_experiments::{ablation, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("ablations", "Design-choice ablations.");
     ablation::print(&params);
 }

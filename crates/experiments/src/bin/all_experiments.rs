@@ -11,7 +11,7 @@ fn timed(times: &mut Vec<(&'static str, Duration)>, name: &'static str, f: impl 
 }
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("all_experiments", "All experiments.");
     let mut times: Vec<(&'static str, Duration)> = Vec::new();
     timed(&mut times, "fig1 (motivation)", || {
         let r = fig1::run(&params);

@@ -6,6 +6,11 @@
 //! run's event stream round-trips through JSONL back into an identical
 //! `Timeline`.
 //!
+//! Each mode declares its own flags (`chaos --help`, `chaos --net
+//! --help`, `chaos --churn --help`); a flag the mode does not use is a
+//! usage error (exit 2). In every mode `--jobs` is the engine pool width
+//! and `--job-count` the length of the job stream.
+//!
 //! `--seeds a,b,c` replays the cell at several seeds; the independent
 //! replays run on the `cmpqos-engine` pool (`--jobs N` / `CMPQOS_JOBS`
 //! wide) and print in seed order regardless of the pool width.
@@ -31,44 +36,68 @@
 //! N` wide), byte-identically at any width — CI diffs exactly that —
 //! and `--inject lease-freeze` suppresses lease renewals on two nodes
 //! so the zero-expiry assert must fire.
-//!
-//! ```text
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --seed 1 --events chaos.jsonl
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --seeds 1,2,3,4 --jobs 4
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --seed 1 --crash-at 300000
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --net --nodes 100 \
-//!     --partition 10:40@200000 --heal @350000
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --net --inject drop-reconcile
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --churn --nodes 104 --kills 2
-//! cargo run --release -p cmpqos-experiments --bin chaos -- --churn --inject lease-freeze
-//! ```
 use cmpqos_experiments::chaos;
+use cmpqos_experiments::cli::{self, Command, Flag, Value};
+use cmpqos_experiments::params::{EVENTS, JOBS, SEED};
+use cmpqos_experiments::ExperimentParams;
 use cmpqos_obs::Timeline;
 use cmpqos_types::Cycles;
 
-/// `--seeds a,b,c` / `--seeds=a,b,c` (unknown flags are ignored, like
-/// `ChaosParams::from_env_and_args`).
-fn parse_seeds(args: &[String]) -> Option<Vec<u64>> {
-    let mut it = args.iter();
-    let mut seeds = None;
-    while let Some(arg) = it.next() {
-        let list = if arg == "--seeds" {
-            it.next().cloned()
-        } else {
-            arg.strip_prefix("--seeds=").map(str::to_string)
-        };
-        if let Some(list) = list {
-            let parsed: Vec<u64> = list
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect();
-            if !parsed.is_empty() {
-                seeds = Some(parsed);
-            }
-        }
-    }
-    seeds
-}
+const SEEDS: Flag = Flag::new("seeds", Value::Numbers, "replay at each seed, on the pool");
+/// A count that fits the `u32` fields it sets (and so any `usize`).
+const COUNT: Value = Value::Checked("N", |v| v.parse::<u32>().is_ok());
+const NODES: Flag = Flag::new("nodes", COUNT, "cluster size");
+const JOB_COUNT: Flag = Flag::new("job-count", COUNT, "jobs in the arrival stream");
+const HORIZON: Flag = Flag::new("horizon", Value::Number, "nominal run length (cycles)");
+const CRASH_AT: Flag = Flag::new("crash-at", Value::Number, "crash and replay the controller");
+const PARTITION: Value = Value::Checked("a:b@cycle", |v| parse_partition(v).is_some());
+const HEAL: Value = Value::Checked("@cycle", |v| parse_heal(v).is_some());
+
+const CLASSIC: Command = Command {
+    name: "chaos",
+    about: "Three nodes, one killed mid-run. `--net`/`--churn` select the other cells.",
+    flags: &[SEED, SEEDS, JOBS, EVENTS, CRASH_AT],
+};
+
+const NET: Command = Command {
+    name: "chaos",
+    about: "Message-layer cell: a lossy network, a partition and a heal.",
+    flags: &[
+        Flag::new("net", Value::Switch, "the message-layer cell").required(),
+        SEED,
+        NODES,
+        JOB_COUNT,
+        HORIZON,
+        Flag::new("partition", PARTITION, "sever nodes [a, b) at the cycle"),
+        Flag::new("heal", HEAL, "restore them at the cycle"),
+        Flag::new(
+            "inject",
+            Value::OneOf(&["drop-reconcile"]),
+            "must-fail sabotage",
+        ),
+    ],
+};
+
+const CHURN: Command = Command {
+    name: "chaos",
+    about: "Elastic-membership cell: lease-backed nodes, joins, drains, restarts, kills.",
+    flags: &[
+        Flag::new("churn", Value::Switch, "the elastic-membership cell").required(),
+        SEED,
+        SEEDS,
+        JOBS,
+        NODES,
+        JOB_COUNT,
+        HORIZON,
+        Flag::new("churn-events", COUNT, "seeded membership operations"),
+        Flag::new("kills", COUNT, "hard node deaths"),
+        Flag::new(
+            "inject",
+            Value::OneOf(&["lease-freeze"]),
+            "must-fail sabotage",
+        ),
+    ],
+};
 
 fn verify_roundtrip(outcome: &chaos::ChaosOutcome) {
     // The run must be fully reconstructible from its serialized event
@@ -104,117 +133,30 @@ fn parse_partition(v: &str) -> Option<(u32, u32, Cycles)> {
     ))
 }
 
-/// Builds [`chaos::NetChaosParams`] from the `--net` flag family
-/// (unknown flags are ignored, like the classic-mode parser).
-fn parse_net_params(args: &[String]) -> chaos::NetChaosParams {
-    let mut p = chaos::NetChaosParams::standard();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |key: &str| -> Option<String> {
-            if arg == key {
-                it.next().cloned()
-            } else {
-                arg.strip_prefix(key)
-                    .and_then(|rest| rest.strip_prefix('='))
-                    .map(str::to_string)
-            }
-        };
-        if let Some(v) = grab("--nodes") {
-            if let Ok(n) = v.parse() {
-                p.nodes = n;
-            }
-        } else if let Some(v) = grab("--jobs") {
-            if let Ok(n) = v.parse() {
-                p.jobs = n;
-            }
-        } else if let Some(v) = grab("--horizon") {
-            if let Ok(n) = v.parse() {
-                p.horizon = Cycles::new(n);
-            }
-        } else if let Some(v) = grab("--seed") {
-            if let Ok(n) = v.parse() {
-                p.seed = n;
-            }
-        } else if let Some(v) = grab("--partition") {
-            p.partition = parse_partition(&v).or(p.partition);
-        } else if let Some(v) = grab("--heal") {
-            let at = v.trim();
-            let at = at.strip_prefix('@').unwrap_or(at);
-            if let Ok(n) = at.parse() {
-                p.heal_at = Some(Cycles::new(n));
-            }
-        } else if let Some(v) = grab("--inject") {
-            if v.trim() == "drop-reconcile" {
-                p.drop_reconcile = true;
-            }
-        }
-    }
-    p
-}
-
-/// Builds [`chaos::ChurnParams`] from the `--churn` flag family
-/// (unknown flags are ignored, like the other parsers).
-fn parse_churn_params(args: &[String]) -> chaos::ChurnParams {
-    let mut p = chaos::ChurnParams::standard();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |key: &str| -> Option<String> {
-            if arg == key {
-                it.next().cloned()
-            } else {
-                arg.strip_prefix(key)
-                    .and_then(|rest| rest.strip_prefix('='))
-                    .map(str::to_string)
-            }
-        };
-        if let Some(v) = grab("--nodes") {
-            if let Ok(n) = v.parse() {
-                p.nodes = n;
-            }
-        } else if let Some(v) = grab("--horizon") {
-            if let Ok(n) = v.parse() {
-                p.horizon = Cycles::new(n);
-            }
-        } else if let Some(v) = grab("--seed") {
-            if let Ok(n) = v.parse() {
-                p.seed = n;
-            }
-        } else if let Some(v) = grab("--churn-events") {
-            if let Ok(n) = v.parse() {
-                p.churn_events = n;
-            }
-        } else if let Some(v) = grab("--kills") {
-            if let Ok(n) = v.parse() {
-                p.kills = n;
-            }
-        } else if let Some(v) = grab("--inject") {
-            if v.trim() == "lease-freeze" {
-                p.lease_freeze = true;
-            }
-        } else if arg == "--job-count" {
-            // `--jobs` is the engine pool width for every cell, so the
-            // churn stream length gets its own flag.
-            if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                p.jobs = n;
-            }
-        } else if let Some(n) = arg
-            .strip_prefix("--job-count=")
-            .and_then(|v| v.parse().ok())
-        {
-            p.jobs = n;
-        }
-    }
-    p
+/// `@cycle` (or a bare `cycle`).
+fn parse_heal(v: &str) -> Option<Cycles> {
+    let at = v.trim();
+    Some(Cycles::new(
+        at.strip_prefix('@').unwrap_or(at).parse().ok()?,
+    ))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--churn") {
-        let params = parse_churn_params(&args);
-        let seeds = parse_seeds(&args).unwrap_or_else(|| vec![params.seed]);
-        let jobs = cmpqos_experiments::ExperimentParams::from_env()
-            .with_args(&args)
-            .jobs;
+    let argv = cli::args();
+    if argv.iter().any(|a| a == "--churn") {
+        let args = cli::parse(&CHURN, &argv);
+        let mut params = chaos::ChurnParams::standard();
+        params.seed = args.num(SEED.name).unwrap_or(params.seed);
+        params.nodes = args.num(NODES.name).map_or(params.nodes, |n| n as _);
+        params.jobs = args.num(JOB_COUNT.name).map_or(params.jobs, |n| n as _);
+        params.horizon = args.num(HORIZON.name).map_or(params.horizon, Cycles::new);
+        params.churn_events = args
+            .num("churn-events")
+            .map_or(params.churn_events, |n| n as _);
+        params.kills = args.num("kills").map_or(params.kills, |n| n as _);
+        params.lease_freeze = args.has("inject");
+        let seeds = args.nums(SEEDS.name).unwrap_or_else(|| vec![params.seed]);
+        let jobs = ExperimentParams::from_args(&args).jobs;
         let outcomes = chaos::run_churn_many(&params, &seeds, jobs);
         for (outcome, &seed) in outcomes.iter().zip(&seeds) {
             let mut p = params.clone();
@@ -223,17 +165,27 @@ fn main() {
         }
         return;
     }
-    if args.iter().any(|a| a == "--net") {
-        let p = parse_net_params(&args);
+    if argv.iter().any(|a| a == "--net") {
+        let args = cli::parse(&NET, &argv);
+        let mut p = chaos::NetChaosParams::standard();
+        p.seed = args.num(SEED.name).unwrap_or(p.seed);
+        p.nodes = args.num(NODES.name).map_or(p.nodes, |n| n as _);
+        p.jobs = args.num(JOB_COUNT.name).map_or(p.jobs, |n| n as _);
+        p.horizon = args.num(HORIZON.name).map_or(p.horizon, Cycles::new);
+        p.partition = args.text("partition").map_or(p.partition, parse_partition);
+        p.heal_at = args.text("heal").map_or(p.heal_at, parse_heal);
+        p.drop_reconcile = args.has("inject");
         let outcome = chaos::run_net(&p);
         chaos::print_net(&outcome, &p);
         return;
     }
-    let params = chaos::ChaosParams::from_env_and_args();
-    if let Some(seeds) = parse_seeds(&args) {
-        let jobs = cmpqos_experiments::ExperimentParams::from_env()
-            .with_args(&args)
-            .jobs;
+    let args = cli::parse(&CLASSIC, &argv);
+    let mut params = chaos::ChaosParams::standard();
+    params.seed = args.num(SEED.name).unwrap_or(params.seed);
+    params.events = args.path(EVENTS.name);
+    params.crash_at = args.num(CRASH_AT.name).map(Cycles::new);
+    if let Some(seeds) = args.nums(SEEDS.name) {
+        let jobs = ExperimentParams::from_args(&args).jobs;
         let outcomes = chaos::run_many(&params, &seeds, jobs);
         for (outcome, &seed) in outcomes.iter().zip(&seeds) {
             let mut p = params.clone();

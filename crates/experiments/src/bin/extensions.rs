@@ -2,6 +2,6 @@
 use cmpqos_experiments::{extensions, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("extensions", "The extension studies.");
     extensions::print(&params);
 }

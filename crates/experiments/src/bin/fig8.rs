@@ -2,7 +2,7 @@
 use cmpqos_experiments::{fig8, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("fig8", "Regenerates Figure 8.");
     let result = fig8::run(&params);
     fig8::print(&result, &params);
 }

@@ -3,7 +3,7 @@
 use cmpqos_experiments::{overload, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("overload", "The intake overload sweep.");
     let rows = overload::run(&params);
     overload::print(&rows, &params);
 }

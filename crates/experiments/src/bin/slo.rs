@@ -4,7 +4,7 @@
 use cmpqos_experiments::{slo, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("slo", "Adaptive vs static QoS.");
     let rows = slo::run(&params);
     slo::print(&rows, &params);
 }

@@ -3,7 +3,7 @@
 use cmpqos_experiments::{traffic, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("traffic", "The traffic-DSL grid.");
     let reports = traffic::run(&params);
     traffic::print(&reports, &params);
 }

@@ -2,7 +2,7 @@
 use cmpqos_experiments::{variance, ExperimentParams};
 
 fn main() {
-    let params = ExperimentParams::from_env_and_args();
+    let params = ExperimentParams::from_command_line("variance", "Seed stability of Figure 5.");
     let rows = variance::run(&params);
     variance::print(&rows, &params);
 }

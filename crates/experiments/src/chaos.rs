@@ -70,48 +70,6 @@ impl ChaosParams {
         }
     }
 
-    /// [`ChaosParams::standard`] with `CMPQOS_SEED`/`CMPQOS_EVENTS` env
-    /// overrides and `--events <path>`/`--seed <n>`/`--crash-at <cycle>`
-    /// flag overrides applied (flags win). Unknown arguments are ignored.
-    #[must_use]
-    pub fn from_env_and_args() -> Self {
-        let mut p = Self::standard();
-        if let Ok(v) = std::env::var("CMPQOS_SEED") {
-            if let Ok(v) = v.trim().parse() {
-                p.seed = v;
-            }
-        }
-        if let Ok(path) = std::env::var("CMPQOS_EVENTS") {
-            let path = path.trim();
-            if !path.is_empty() {
-                p.events = Some(PathBuf::from(path));
-            }
-        }
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            if arg == "--events" {
-                if let Some(path) = args.next() {
-                    p.events = Some(PathBuf::from(path));
-                }
-            } else if let Some(path) = arg.strip_prefix("--events=") {
-                p.events = Some(PathBuf::from(path));
-            } else if arg == "--seed" {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    p.seed = v;
-                }
-            } else if let Some(v) = arg.strip_prefix("--seed=").and_then(|v| v.parse().ok()) {
-                p.seed = v;
-            } else if arg == "--crash-at" {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    p.crash_at = Some(Cycles::new(v));
-                }
-            } else if let Some(v) = arg.strip_prefix("--crash-at=").and_then(|v| v.parse().ok()) {
-                p.crash_at = Some(Cycles::new(v));
-            }
-        }
-        p
-    }
-
     /// The schedule the binary runs by default: a seeded random plan
     /// *plus* a guaranteed whole-node death halfway through (the paper's
     /// server always has survivors: node 0 is never killed).
@@ -131,12 +89,6 @@ impl ChaosParams {
             plan = plan.controller_crash(at, NodeId::new(0));
         }
         plan.build()
-    }
-}
-
-impl Default for ChaosParams {
-    fn default() -> Self {
-        Self::standard()
     }
 }
 
@@ -499,12 +451,6 @@ impl NetChaosParams {
             heal_at: Some(Cycles::new(350_000)),
             drop_reconcile: false,
         }
-    }
-}
-
-impl Default for NetChaosParams {
-    fn default() -> Self {
-        Self::standard()
     }
 }
 
@@ -910,12 +856,6 @@ impl ChurnParams {
             }
         }
         plan.build()
-    }
-}
-
-impl Default for ChurnParams {
-    fn default() -> Self {
-        Self::standard()
     }
 }
 

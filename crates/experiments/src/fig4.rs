@@ -7,8 +7,6 @@ use crate::output::{banner, pct, Table};
 use crate::params::ExperimentParams;
 use cmpqos_engine::Engine;
 use cmpqos_trace::spec::{self, SensitivityClass};
-use cmpqos_types::Ways;
-use cmpqos_workloads::calibrate::solo_run;
 
 /// One benchmark's sensitivity point.
 #[derive(Debug, Clone)]
@@ -30,16 +28,7 @@ pub struct Fig4Point {
 #[must_use]
 pub fn run(params: &ExperimentParams) -> Vec<Fig4Point> {
     Engine::new(params.jobs).run(spec::all().to_vec(), |_, b| {
-        let cpi = |ways: u16| {
-            solo_run(
-                b.name(),
-                Ways::new(ways),
-                params.work,
-                params.scale,
-                params.seed,
-            )
-            .cpi()
-        };
+        let cpi = |ways: u16| params.solo(b.name(), ways).cpi();
         let cpi7 = cpi(7);
         Fig4Point {
             bench: b.name().to_string(),
@@ -88,10 +77,9 @@ mod tests {
     #[test]
     fn groups_separate_in_simulation() {
         // Restrict to the three representative benchmarks for test speed.
-        let p = ExperimentParams::quick();
-        let cpi = |bench: &str, ways: u16| {
-            solo_run(bench, Ways::new(ways), p.work * 4, p.scale, p.seed).cpi()
-        };
+        let mut p = ExperimentParams::quick();
+        p.work = p.work * 4;
+        let cpi = |bench: &str, ways: u16| p.solo(bench, ways).cpi();
         let inc = |bench: &str, ways: u16| cpi(bench, ways) / cpi(bench, 7) - 1.0;
         // bzip2 (Group 1): hurt already at 4 ways.
         assert!(inc("bzip2", 4) > 0.10, "bzip2 7->4: {}", inc("bzip2", 4));

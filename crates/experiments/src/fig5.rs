@@ -52,15 +52,8 @@ pub fn run_for(params: &ExperimentParams, benches: &[&str]) -> Vec<Fig5Workload>
     let cells: Vec<RunConfig> = benches
         .iter()
         .flat_map(|bench| {
-            configs.iter().map(|&configuration| RunConfig {
-                workload: WorkloadSpec::single(bench, 10),
-                configuration,
-                scale: params.scale,
-                work: params.work,
-                seed: params.seed,
-                stealing_enabled: true,
-                steal_interval: None,
-                events: params.events.clone(),
+            configs.iter().map(|&configuration| {
+                params.run_config(WorkloadSpec::single(bench, 10), configuration)
             })
         })
         .collect();

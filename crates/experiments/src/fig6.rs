@@ -33,16 +33,7 @@ pub fn run(params: &ExperimentParams) -> Fig6Result {
 pub fn run_bench(params: &ExperimentParams, bench: &str) -> Fig6Result {
     let cells: Vec<RunConfig> = Configuration::all()
         .into_iter()
-        .map(|configuration| RunConfig {
-            workload: WorkloadSpec::single(bench, 10),
-            configuration,
-            scale: params.scale,
-            work: params.work,
-            seed: params.seed,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: params.events.clone(),
-        })
+        .map(|configuration| params.run_config(WorkloadSpec::single(bench, 10), configuration))
         .collect();
     Fig6Result {
         outcomes: run_batch(cells, params.jobs),

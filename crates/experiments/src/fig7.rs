@@ -49,16 +49,7 @@ pub fn run(params: &ExperimentParams) -> Fig7Result {
 pub fn run_bench(params: &ExperimentParams, bench: &str, n: usize) -> Fig7Result {
     let cells: Vec<RunConfig> = [Configuration::AllStrict, Configuration::AllStrictAutoDown]
         .into_iter()
-        .map(|configuration| RunConfig {
-            workload: WorkloadSpec::single(bench, n),
-            configuration,
-            scale: params.scale,
-            work: params.work,
-            seed: params.seed,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: params.events.clone(),
-        })
+        .map(|configuration| params.run_config(WorkloadSpec::single(bench, n), configuration))
         .collect();
     let mut outcomes = run_batch(cells, params.jobs).into_iter();
     Fig7Result {

@@ -67,16 +67,13 @@ fn elastic_mean<F: Fn(&cmpqos_workloads::runner::AcceptedJob) -> Option<f64>>(
 #[must_use]
 pub fn run_bench(params: &ExperimentParams, bench: &str, slacks: &[f64]) -> Fig8Result {
     let cell = |slack: f64, stealing: bool| RunConfig {
-        workload: WorkloadSpec::single(bench, 10),
-        configuration: Configuration::Hybrid2 {
-            slack: Percent::new(slack),
-        },
-        scale: params.scale,
-        work: params.work,
-        seed: params.seed,
         stealing_enabled: stealing,
-        steal_interval: None,
-        events: params.events.clone(),
+        ..params.run_config(
+            WorkloadSpec::single(bench, 10),
+            Configuration::Hybrid2 {
+                slack: Percent::new(slack),
+            },
+        )
     };
     let cells: Vec<RunConfig> = std::iter::once(cell(5.0, false))
         .chain(slacks.iter().map(|&slack| cell(slack, true)))

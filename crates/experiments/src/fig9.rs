@@ -37,16 +37,7 @@ pub fn run_mix(params: &ExperimentParams, workload: WorkloadSpec) -> Fig9Mix {
     let name = workload.name().to_string();
     let cells: Vec<RunConfig> = Configuration::all()
         .into_iter()
-        .map(|configuration| RunConfig {
-            workload: workload.clone(),
-            configuration,
-            scale: params.scale,
-            work: params.work,
-            seed: params.seed,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: params.events.clone(),
-        })
+        .map(|configuration| params.run_config(workload.clone(), configuration))
         .collect();
     Fig9Mix {
         name,

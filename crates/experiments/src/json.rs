@@ -46,14 +46,9 @@ mod tests {
     #[test]
     fn run_outcome_round_trips_through_json() {
         let outcome = run(&RunConfig {
-            workload: WorkloadSpec::single("namd", 3),
-            configuration: Configuration::AllStrict,
             scale: 16,
             work: Instructions::new(20_000),
-            seed: 1,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: None,
+            ..RunConfig::new(WorkloadSpec::single("namd", 3), Configuration::AllStrict)
         });
         let json = serde_json::to_string(&outcome).expect("serializes");
         assert!(json.contains("makespan"));

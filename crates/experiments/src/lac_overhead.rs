@@ -31,16 +31,7 @@ pub fn run(params: &ExperimentParams) -> Vec<LacRow> {
     let benches = ["gobmk", "hmmer", "bzip2"];
     let cells: Vec<RunConfig> = benches
         .iter()
-        .map(|bench| RunConfig {
-            workload: WorkloadSpec::single(bench, 10),
-            configuration: Configuration::AllStrict,
-            scale: params.scale,
-            work: params.work,
-            seed: params.seed,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: params.events.clone(),
-        })
+        .map(|bench| params.run_config(WorkloadSpec::single(bench, 10), Configuration::AllStrict))
         .collect();
     benches
         .iter()

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! Scale/work/seed can be overridden via `CMPQOS_SCALE`, `CMPQOS_WORK` and
-//! `CMPQOS_SEED`.
+//! `CMPQOS_SEED`; every binary parses its flags with [`cli`] and prints
+//! them for `--help`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +23,7 @@
 pub mod ablation;
 pub mod bench;
 pub mod chaos;
+pub mod cli;
 pub mod extensions;
 pub mod fig1;
 pub mod fig3;

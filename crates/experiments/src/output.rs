@@ -135,12 +135,7 @@ pub fn gain(ratio: f64) -> String {
 /// Prints a standard experiment banner.
 pub fn banner(title: &str, params: &crate::ExperimentParams) {
     println!("== {title} ==");
-    println!(
-        "   (scale 1/{}, {} instructions/job, seed {})\n",
-        params.scale,
-        params.work.get(),
-        params.seed
-    );
+    println!("   ({params})\n");
 }
 
 #[cfg(test)]

@@ -1,23 +1,44 @@
 //! Shared experiment parameters.
 
-use cmpqos_types::Instructions;
+use crate::cli::{self, Args, Command, Flag, Value};
+use cmpqos_types::{Instructions, Ways};
+use cmpqos_workloads::calibrate::{solo_run, SoloStats};
+use cmpqos_workloads::runner::RunConfig;
+use cmpqos_workloads::{Configuration, WorkloadSpec};
 use std::path::PathBuf;
+
+/// `--scale` / `CMPQOS_SCALE`: the geometry scale factor.
+pub const SCALE: Flag =
+    Flag::new("scale", Value::Number, "geometry scale k (8)").env("CMPQOS_SCALE");
+/// `--work` / `CMPQOS_WORK`: instructions per job.
+pub const WORK: Flag =
+    Flag::new("work", Value::Number, "instructions per job (800000)").env("CMPQOS_WORK");
+/// `--seed` / `CMPQOS_SEED`: the master seed.
+pub const SEED: Flag = Flag::new("seed", Value::Number, "master seed (1)").env("CMPQOS_SEED");
+/// `--jobs` / `CMPQOS_JOBS`: the engine's worker-pool width.
+pub const JOBS: Flag =
+    Flag::new("jobs", Value::Number, "pool width (0 = per core)").env("CMPQOS_JOBS");
+/// `--events` / `CMPQOS_EVENTS`: the JSONL event log.
+pub const EVENTS: Flag =
+    Flag::new("events", Value::EventLog, "JSONL event log").env("CMPQOS_EVENTS");
+
+/// What every figure/table binary takes: `--jobs` and `--events` (or their
+/// variables), and scale, work and seed from the environment only.
+pub const FLAGS: &[Flag] = &[
+    JOBS,
+    EVENTS,
+    SCALE.env_only(),
+    WORK.env_only(),
+    SEED.env_only(),
+];
 
 /// Global knobs for every experiment: the geometry scale factor, the
 /// per-job instruction budget, the master seed, the worker-pool width and
-/// an optional event log.
+/// an optional JSONL event log (see [`FLAGS`] for where each comes from).
 ///
-/// Defaults reproduce the paper's shapes in seconds per experiment; the
-/// environment variables `CMPQOS_SCALE`, `CMPQOS_WORK` and `CMPQOS_SEED`
-/// override them for higher-fidelity (slower) runs — `CMPQOS_SCALE=1
-/// CMPQOS_WORK=200000000` is the paper's literal setup. `CMPQOS_EVENTS`
-/// (or the figure binaries' `--events <path>` flag) names a JSONL file
-/// that receives every QoS event of every run (see `cmpqos-obs`).
-///
-/// `CMPQOS_JOBS` (or `--jobs N`) bounds the `cmpqos-engine` worker pool
-/// that runs independent experiment cells in parallel: `1` is serial, `0`
-/// means "auto" (the machine's available parallelism, also the default).
-/// Results are bit-identical at every width — see `docs/performance.md`.
+/// Defaults reproduce the paper's shapes in seconds per experiment;
+/// `CMPQOS_SCALE=1 CMPQOS_WORK=200000000` is the paper's literal setup.
+/// Results are bit-identical at every pool width (`docs/performance.md`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentParams {
     /// Geometry scale factor `k` (see
@@ -31,6 +52,14 @@ pub struct ExperimentParams {
     pub jobs: usize,
     /// When set, every run appends its event stream to this JSONL file.
     pub events: Option<PathBuf>,
+}
+
+impl std::fmt::Display for ExperimentParams {
+    /// `scale 1/k, W instructions/job, seed S`, as every banner prints it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (scale, work, seed) = (self.scale, self.work.get(), self.seed);
+        write!(f, "scale 1/{scale}, {work} instructions/job, seed {seed}")
+    }
 }
 
 impl ExperimentParams {
@@ -60,116 +89,92 @@ impl ExperimentParams {
         }
     }
 
-    /// [`ExperimentParams::standard`] with environment overrides applied.
+    /// [`ExperimentParams::standard`] with whichever of [`SCALE`],
+    /// [`WORK`], [`SEED`], [`JOBS`] and [`EVENTS`] the command was given
+    /// (scale at least 1, work at least 1,000, jobs 0 = auto).
     #[must_use]
-    pub fn from_env() -> Self {
+    pub fn from_args(args: &Args) -> Self {
         let mut p = Self::standard();
-        if let Some(v) = read_env("CMPQOS_SCALE") {
+        if let Some(v) = args.num(SCALE.name) {
             p.scale = v.max(1);
         }
-        if let Some(v) = read_env("CMPQOS_WORK") {
+        if let Some(v) = args.num(WORK.name) {
             p.work = Instructions::new(v.max(1_000));
         }
-        if let Some(v) = read_env("CMPQOS_SEED") {
+        if let Some(v) = args.num(SEED.name) {
             p.seed = v;
         }
-        if let Some(jobs) = cmpqos_engine::jobs_from_env() {
-            p.jobs = jobs;
+        match args.num(JOBS.name) {
+            Some(0) | None => {}
+            Some(n) => p.jobs = usize::try_from(n).unwrap_or(usize::MAX),
         }
-        if let Ok(path) = std::env::var("CMPQOS_EVENTS") {
-            let path = path.trim();
-            if !path.is_empty() {
-                p.events = Some(PathBuf::from(path));
-            }
-        }
+        p.events = args.path(EVENTS.name);
         p
     }
 
-    /// [`ExperimentParams::from_env`] plus command-line overrides: every
-    /// figure binary accepts `--events <path>` and `--jobs <n>` (which win
-    /// over `CMPQOS_EVENTS`/`CMPQOS_JOBS`). Unknown arguments are ignored
-    /// so existing invocations keep working.
+    /// One run of `workload` under `configuration` at these parameters,
+    /// with stealing on at its default interval.
     #[must_use]
-    pub fn from_env_and_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_env().with_args(&args)
-    }
-
-    /// Applies `--events <path>` / `--events=<path>` and `--jobs <n>` /
-    /// `--jobs=<n>` overrides from an argument list (`--jobs 0` = auto).
-    #[must_use]
-    pub fn with_args(mut self, args: &[String]) -> Self {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if arg == "--events" {
-                if let Some(path) = it.next() {
-                    self.events = Some(PathBuf::from(path));
-                }
-            } else if let Some(path) = arg.strip_prefix("--events=") {
-                self.events = Some(PathBuf::from(path));
-            } else if arg == "--jobs" {
-                if let Some(n) = it.next().and_then(|v| v.trim().parse().ok()) {
-                    self.jobs = resolve_jobs(n);
-                }
-            } else if let Some(n) = arg.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-                self.jobs = resolve_jobs(n);
-            }
+    pub fn run_config(&self, workload: WorkloadSpec, configuration: Configuration) -> RunConfig {
+        RunConfig {
+            scale: self.scale,
+            work: self.work,
+            seed: self.seed,
+            events: self.events.clone(),
+            ..RunConfig::new(workload, configuration)
         }
-        self
     }
-}
 
-/// `0` means "auto": one worker per available core.
-fn resolve_jobs(n: usize) -> usize {
-    if n == 0 {
-        cmpqos_engine::default_jobs()
-    } else {
-        n
+    /// `bench` alone on `ways` L2 ways at these parameters.
+    #[must_use]
+    pub fn solo(&self, bench: &str, ways: u16) -> SoloStats {
+        solo_run(bench, Ways::new(ways), self.work, self.scale, self.seed)
     }
-}
 
-impl Default for ExperimentParams {
-    fn default() -> Self {
-        Self::standard()
+    /// The parameters of the figure/table binary `name` (see [`FLAGS`])
+    /// from the process's command line and environment ([`cli::parse`]).
+    #[must_use]
+    pub fn from_command_line(name: &'static str, about: &'static str) -> Self {
+        let flags = FLAGS;
+        Self::from_args(&cli::parse(&Command { name, about, flags }, &cli::args()))
     }
-}
-
-fn read_env(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str], env: &[(&str, &str)]) -> ExperimentParams {
+        let (name, about, flags) = ("fig", "", FLAGS);
+        let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+        let var = |v: &str| {
+            env.iter()
+                .find(|(k, _)| *k == v)
+                .map(|(_, x)| (*x).to_string())
+        };
+        let parsed = cli::try_parse(&Command { name, about, flags }, &args, var);
+        ExperimentParams::from_args(&parsed.unwrap().unwrap())
+    }
+
     #[test]
-    fn defaults() {
+    fn defaults_flags_and_variables() {
         let p = ExperimentParams::standard();
-        assert_eq!(p.scale, 8);
-        assert_eq!(ExperimentParams::default(), p);
+        assert_eq!((p.scale, p.events.clone()), (8, None));
+        assert_eq!(parse(&[], &[]), p);
         assert!(ExperimentParams::quick().work < p.work);
-        assert_eq!(p.events, None);
-        assert!(p.jobs >= 1);
         assert_eq!(ExperimentParams::quick().jobs, 1);
-    }
-
-    #[test]
-    fn env_parsing_ignores_garbage() {
-        assert_eq!(read_env("CMPQOS_DOES_NOT_EXIST"), None);
-    }
-
-    #[test]
-    fn jobs_flag_parses_both_spellings_and_auto() {
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs", "3"]));
-        assert_eq!(p.jobs, 3);
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs=7", "--events=ev.jsonl"]));
-        assert_eq!(p.jobs, 7);
-        assert_eq!(p.events, Some(PathBuf::from("ev.jsonl")));
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs", "0"]));
-        assert_eq!(p.jobs, cmpqos_engine::default_jobs());
-        // Garbage and unknown flags are ignored.
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs", "x", "--frobnicate"]));
-        assert_eq!(p.jobs, 1);
+        assert_eq!(parse(&["--jobs", "3"], &[("CMPQOS_JOBS", "2")]).jobs, 3);
+        assert_eq!(parse(&[], &[("CMPQOS_JOBS", "2")]).jobs, 2);
+        assert_eq!(
+            parse(&["--jobs=0"], &[]).jobs,
+            cmpqos_engine::default_jobs()
+        );
+        let env = [
+            ("CMPQOS_SCALE", "0"),
+            ("CMPQOS_WORK", "10"),
+            ("CMPQOS_SEED", "4"),
+        ];
+        let p = parse(&[], &env);
+        assert_eq!((p.scale, p.work.get(), p.seed), (1, 1_000, 4));
     }
 }

@@ -5,8 +5,6 @@
 use crate::output::{banner, pct, Table};
 use crate::params::ExperimentParams;
 use cmpqos_engine::Engine;
-use cmpqos_types::Ways;
-use cmpqos_workloads::calibrate::solo_run;
 
 /// Paper reference values: (benchmark, L2 miss rate, misses/instruction).
 pub const PAPER_TABLE1: [(&str, f64, f64); 3] = [
@@ -33,7 +31,7 @@ pub struct Table1Row {
 pub fn run(params: &ExperimentParams) -> Vec<Table1Row> {
     let benches: Vec<&str> = PAPER_TABLE1.iter().map(|(bench, _, _)| *bench).collect();
     Engine::new(params.jobs).run(benches, |_, bench| {
-        let s = solo_run(bench, Ways::new(7), params.work, params.scale, params.seed);
+        let s = params.solo(bench, 7);
         Table1Row {
             bench: bench.to_string(),
             miss_rate: s.perf.l2_miss_ratio(),

@@ -46,14 +46,8 @@ pub fn run_workload(
         .iter()
         .flat_map(|&seed| {
             configs.iter().map(move |&configuration| RunConfig {
-                workload: workload.clone(),
-                configuration,
-                scale: params.scale,
-                work: params.work,
                 seed,
-                stealing_enabled: true,
-                steal_interval: None,
-                events: params.events.clone(),
+                ..params.run_config(workload.clone(), configuration)
             })
         })
         .collect();

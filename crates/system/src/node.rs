@@ -253,8 +253,9 @@ impl CmpNode {
         Ok(())
     }
 
-    /// Re-pins a live floating task to `core` (the automatic-downgrade
-    /// switch-back path: an Opportunistic-running job reverting to Strict).
+    /// Re-pins a live task to `core` (the automatic-downgrade switch-back
+    /// path: an Opportunistic-running job reverting to Strict). A task
+    /// already pinned elsewhere releases its old core.
     ///
     /// # Errors
     ///
@@ -280,6 +281,11 @@ impl CmpNode {
         let task = self.tasks.get_mut(&id).expect("checked live above");
         task.placement = Placement::Pinned(core);
         task.ready_at = task.ready_at.max(self.now);
+        // A task that was pinned elsewhere gives its old core back.
+        if let Some(old) = self.cores.iter().position(|c| c.pinned == Some(id)) {
+            self.cores[old].pinned = None;
+            self.refresh_core_class(old);
+        }
         self.cores[core.as_usize()].pinned = Some(id);
         self.refresh_core_class(core.as_usize());
         Ok(())

@@ -113,14 +113,10 @@ mod tests {
 
     fn outcome(configuration: Configuration) -> RunOutcome {
         run(&RunConfig {
-            workload: WorkloadSpec::single("gobmk", 6),
-            configuration,
             scale: 16,
             work: Instructions::new(60_000),
             seed: 11,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: None,
+            ..RunConfig::new(WorkloadSpec::single("gobmk", 6), configuration)
         })
     }
 

@@ -514,14 +514,10 @@ mod tests {
 
     fn quick(workload: WorkloadSpec, configuration: Configuration) -> RunConfig {
         RunConfig {
-            workload,
-            configuration,
             scale: 16,
             work: Instructions::new(60_000),
             seed: 7,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: None,
+            ..RunConfig::new(workload, configuration)
         }
     }
 

@@ -1,147 +1,165 @@
-//! `cmpqos` — the command-line front end to the framework.
+//! `cmpqos` — the command-line front end to the framework, and the fifth
+//! example application of the public interface.
 //!
-//! ```text
-//! cmpqos list
-//! cmpqos solo --bench bzip2 --ways 7 [--scale 8] [--work 800000]
-//! cmpqos run --workload gobmk|mix1|mix2 --config all-strict|hybrid1|hybrid2|autodown|equalpart
-//!            [--scale 8] [--work 800000] [--seed 1] [--json out.json]
-//! cmpqos bench [--jobs N] [--scale 8] [--work 800000] [--seed 1] [--out BENCH.json]
-//! cmpqos <command> --help
-//! ```
-//!
-//! A thin, dependency-free argument parser over the library API — also the
-//! fifth example application of the public interface. Each subcommand
-//! declares the flags it accepts: an unknown flag, a missing or malformed
-//! value exits 2 with the subcommand's usage, and `--help` prints that
-//! usage without running anything.
+//! Each subcommand declares its flags in a `cmpqos_experiments::cli`
+//! table: `cmpqos --help` lists the subcommands, `cmpqos <command> --help`
+//! prints one's flags without running it, and an unknown flag or a
+//! missing or malformed value exits 2 with that usage.
 
+use cmpqos::experiments::cli::{self, Args, Command, Flag, Value};
 use cmpqos::experiments::json::write_json;
+use cmpqos::experiments::params::{EVENTS, JOBS, SCALE, SEED, WORK};
+use cmpqos::experiments::ExperimentParams;
 use cmpqos::trace::spec;
-use cmpqos::types::{Instructions, Percent, Ways};
+use cmpqos::types::Percent;
 use cmpqos::workloads::metrics::{
     lac_occupancy, normalized_throughput, paper_hit_rate, wall_clock_by_mode,
 };
-use cmpqos::workloads::runner::{run, RunConfig};
+use cmpqos::workloads::runner::run;
 use cmpqos::workloads::{Configuration, WorkloadSpec};
-use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-type Flags = HashMap<String, String>;
-
-/// Why a command did not succeed: a usage error (exit 2, with the
-/// command's usage) or a run that failed (exit 1).
-enum Failure {
-    Usage(String),
-    Run(String),
+/// A subcommand: its flag table and its body, which fails (exit 1) only
+/// at run time: the table has already checked every value.
+struct Subcommand {
+    command: Command,
+    run: fn(&Args) -> Result<(), String>,
 }
 
-impl From<String> for Failure {
-    fn from(e: String) -> Self {
-        Failure::Run(e)
-    }
-}
+const CONFIGS: Value = Value::OneOf(&["all-strict", "hybrid1", "hybrid2", "autodown", "equalpart"]);
+const INJECTIONS: Value =
+    Value::OneOf(&["broken-guard", "stuck-knob", "frozen-lease", "starve-tier"]);
+const KINDS: Value = Value::OneOf(&[
+    "lac",
+    "intake",
+    "scheduler",
+    "batch",
+    "net",
+    "adapt",
+    "traffic",
+    "all",
+]);
+const PATH: Value = Value::Text("<path>");
+const WAYS: Value = Value::Checked("N", |w| w.parse::<u16>().is_ok());
+const SCENARIOS: Value = Value::Checked("N", |n| n.parse::<usize>().is_ok());
+const BENCH: Value = Value::Checked("<name>", |b| spec::benchmark(b).is_some());
+const WORKLOAD: Value = Value::Checked("<bench|mix1|mix2>", |w| {
+    matches!(w, "mix1" | "mix2") || spec::benchmark(w).is_some()
+});
 
-/// A subcommand: its usage text, the flags it accepts and its body.
-struct Command {
-    name: &'static str,
-    usage: &'static str,
-    /// Accepted flags; a name ending in `!` is a bare switch that takes no
-    /// value, every other flag requires one.
-    flags: &'static [&'static str],
-    run: fn(&Flags) -> Result<(), Failure>,
-}
-
-const COMMANDS: &[Command] = &[
-    Command {
-        name: "list",
-        usage: "cmpqos list",
-        flags: &[],
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        command: Command {
+            name: "cmpqos list",
+            about: "Lists the synthetic benchmarks.",
+            flags: &[],
+        },
         run: cmd_list,
     },
-    Command {
-        name: "solo",
-        usage: "\
-cmpqos solo  --bench <name> [--ways N] [--scale N] [--work N] [--seed N]
-             (scale, work and seed default to CMPQOS_SCALE, CMPQOS_WORK
-              and CMPQOS_SEED when set, else 8, 800000 and 1)",
-        flags: &["bench", "ways", "scale", "work", "seed"],
+    Subcommand {
+        command: Command {
+            name: "cmpqos solo",
+            about: "Runs one benchmark alone at a fixed L2 allocation.",
+            flags: &[
+                Flag::new("bench", BENCH, "benchmark (see `list`)").required(),
+                Flag::new("ways", WAYS, "L2 ways (7)"),
+                SCALE,
+                WORK,
+                SEED,
+            ],
+        },
         run: cmd_solo,
     },
-    Command {
-        name: "run",
-        usage: "\
-cmpqos run   --workload <bench|mix1|mix2> --config <all-strict|hybrid1|hybrid2|autodown|equalpart>
-             [--scale N] [--work N] [--seed N] [--json <path>] [--events <path>]",
-        flags: &[
-            "workload", "config", "scale", "work", "seed", "json", "events",
-        ],
+    Subcommand {
+        command: Command {
+            name: "cmpqos run",
+            about: "Runs a workload (ten jobs of a benchmark, or a mix) under one configuration.",
+            flags: &[
+                Flag::new("workload", WORKLOAD, "ten jobs of a benchmark, or a mix").required(),
+                Flag::new("config", CONFIGS, "QoS configuration").required(),
+                SCALE,
+                WORK,
+                SEED,
+                Flag::new("json", PATH, "write the raw outcome as JSON"),
+                EVENTS,
+            ],
+        },
         run: cmd_run,
     },
-    Command {
-        name: "bench",
-        usage: "\
-cmpqos bench [--jobs N] [--scale N] [--work N] [--seed N] [--out <path>]
-             (times figure/table cells serial vs parallel plus component
-              micro-benchmarks; writes a schema-versioned BENCH_<git-sha>.json)",
-        flags: &["jobs", "scale", "work", "seed", "out"],
+    Subcommand {
+        command: Command {
+            name: "cmpqos bench",
+            about: "Times figures serial vs parallel and components; writes BENCH_<git-sha>.json.",
+            flags: &[
+                JOBS,
+                SCALE,
+                WORK,
+                SEED,
+                Flag::new("out", PATH, "report path"),
+            ],
+        },
         run: cmd_bench,
     },
-    Command {
-        name: "recover",
-        usage: "\
-cmpqos recover --journal <path> [--kind gac|lac] [--compact-every N]
-             (rebuilds admission state from a write-ahead journal,
-              tolerating a torn or corrupted tail: `gac` replays the
-              journaled inputs of the global controller's cluster,
-              `lac` restores a node's snapshot and replays its ops;
-              --compact-every applies to `lac` only)",
-        flags: &["journal", "kind", "compact-every"],
+    Subcommand {
+        command: Command {
+            name: "cmpqos recover",
+            about: "Rebuilds admission state from a write-ahead journal, torn tail or not.",
+            flags: &[
+                Flag::new("journal", PATH, "journal to recover").required(),
+                Flag::new("kind", Value::OneOf(&["gac", "lac"]), "journal kind (gac)"),
+                Flag::new("compact-every", Value::Number, "`lac` snapshot period (64)"),
+            ],
+        },
         run: cmd_recover,
     },
-    Command {
-        name: "conform",
-        usage: "\
-cmpqos conform [--scale N] [--work N] [--seed N] [--jobs N]
-             [--only fig1,fig8a,...] [--inject broken-guard|stuck-knob|frozen-lease|starve-tier]
-             (machine-checks every EXPERIMENTS.md shape verdict;
-              exits nonzero if any check fails)",
-        flags: &["scale", "work", "seed", "jobs", "only", "inject"],
+    Subcommand {
+        command: Command {
+            name: "cmpqos conform",
+            about: "Machine-checks every EXPERIMENTS.md shape verdict; exits 1 on a failure.",
+            flags: &[
+                SCALE,
+                WORK,
+                SEED,
+                JOBS,
+                Flag::new("only", Value::Text("<check,...>"), "run only these"),
+                Flag::new("inject", INJECTIONS, "must-fail sabotage"),
+            ],
+        },
         run: cmd_conform,
     },
-    Command {
-        name: "explore",
-        usage: "\
-cmpqos explore [--scenarios N] [--seed N] [--kind lac|intake|scheduler|batch|net|adapt|traffic|all]
-             (differential explorer: random scenarios diffed against the
-              reference oracles; on divergence prints a shrunken
-              counterexample and a one-line repro, exits nonzero)",
-        flags: &["scenarios", "seed", "kind"],
+    Subcommand {
+        command: Command {
+            name: "cmpqos explore",
+            about: "Diffs random scenarios against the reference oracles (exit 1 on a divergence).",
+            flags: &[
+                Flag::new("scenarios", SCENARIOS, "count (50)"),
+                SEED,
+                Flag::new("kind", KINDS, "scenario kind (all)"),
+            ],
+        },
         run: cmd_explore,
     },
-    Command {
-        name: "traffic",
-        usage: "\
-cmpqos traffic [--spec <path.toml>] [--emit-toml] [--seed N] [--jobs N]
-             (seeded traffic-DSL scenarios through the admission stack:
-              per-tier exact p50/p95/p99/p999 admission latency,
-              deadline-hit rate, shed breakdown and goodput; without
-              --spec runs the standard four-scenario grid; --emit-toml
-              prints the canonical TOML instead of running)",
-        flags: &["spec", "emit-toml!", "seed", "jobs"],
+    Subcommand {
+        command: Command {
+            name: "cmpqos traffic",
+            about: "Per-tier latency percentiles of seeded traffic-DSL scenarios.",
+            flags: &[
+                Flag::new("spec", Value::Text("<path.toml>"), "one scenario"),
+                Flag::new("emit-toml", Value::Switch, "print its canonical TOML"),
+                SEED,
+                JOBS,
+            ],
+        },
         run: cmd_traffic,
     },
 ];
 
-impl Command {
-    /// The usage text, indented to sit under a `usage:` header.
-    fn usage_lines(&self) -> String {
-        format!("  {}", self.usage.replace('\n', "\n  "))
-    }
-}
-
 fn usage() -> String {
-    let lines: Vec<String> = COMMANDS.iter().map(Command::usage_lines).collect();
+    let lines: Vec<String> = SUBCOMMANDS
+        .iter()
+        .map(|s| format!("  {}", s.command.synopsis()))
+        .collect();
     format!(
         "usage:\n{}\n  (`cmpqos <command> --help` prints one command's usage)",
         lines.join("\n")
@@ -149,7 +167,7 @@ fn usage() -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = cli::args();
     let Some(name) = args.first() else {
         eprintln!("{}", usage());
         return ExitCode::from(2);
@@ -158,70 +176,24 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+    let Some(sub) = SUBCOMMANDS
+        .iter()
+        .find(|s| s.command.name.strip_prefix("cmpqos ") == Some(name))
+    else {
         eprintln!("error: unknown command `{name}`\n{}", usage());
         return ExitCode::from(2);
     };
-    let rest = &args[1..];
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("usage:\n{}", command.usage_lines());
-        return ExitCode::SUCCESS;
-    }
-    let result = parse_flags(command, rest).and_then(|flags| (command.run)(&flags));
-    match result {
+    let flags = cli::parse(&sub.command, &args[1..]);
+    match (sub.run)(&flags) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(Failure::Usage(e)) => {
-            eprintln!("error: {e}\nusage:\n{}", command.usage_lines());
-            ExitCode::from(2)
-        }
-        Err(Failure::Run(e)) => {
+        Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// Parses `--flag value` pairs and bare `--switch`es against the
-/// command's flag table.
-fn parse_flags(command: &Command, args: &[String]) -> Result<Flags, Failure> {
-    let mut flags = Flags::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(Failure::Usage(format!("expected a --flag, got `{arg}`")));
-        };
-        let value = if command.flags.contains(&format!("{name}!").as_str()) {
-            String::new()
-        } else if command.flags.contains(&name) {
-            match it.next() {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => return Err(Failure::Usage(format!("--{name} expects a value"))),
-            }
-        } else {
-            return Err(Failure::Usage(format!(
-                "unknown flag `{arg}` for `cmpqos {}`",
-                command.name
-            )));
-        };
-        flags.insert(name.to_string(), value);
-    }
-    Ok(flags)
-}
-
-fn usage_error(e: &str) -> Failure {
-    Failure::Usage(e.to_string())
-}
-
-fn get_num(flags: &Flags, name: &str, default: u64) -> Result<u64, Failure> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| usage_error(&format!("--{name} expects a number, got `{v}`"))),
-    }
-}
-
-fn cmd_list(_: &Flags) -> Result<(), Failure> {
+fn cmd_list(_: &Args) -> Result<(), String> {
     println!(
         "{:<12} {:<28} base CPI  mem/instr",
         "benchmark", "sensitivity"
@@ -238,25 +210,13 @@ fn cmd_list(_: &Flags) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_solo(flags: &Flags) -> Result<(), Failure> {
-    let bench = flags
-        .get("bench")
-        .ok_or(usage_error("--bench is required"))?;
-    if spec::benchmark(bench).is_none() {
-        return Err(Failure::Usage(format!(
-            "unknown benchmark `{bench}` (try `cmpqos list`)"
-        )));
-    }
-    let ways = get_num(flags, "ways", 7)? as u16;
-    let params = experiment_params(flags)?;
+fn cmd_solo(args: &Args) -> Result<(), String> {
+    let bench = args.text("bench").unwrap_or_default();
+    // The table admits only `u16` ways and `usize` scenario counts.
+    let ways = args.num("ways").map_or(7, |w| w as u16);
+    let params = ExperimentParams::from_args(args);
     let (scale, work) = (params.scale, params.work.get());
-    let s = cmpqos::workloads::calibrate::solo_run(
-        bench,
-        Ways::new(ways),
-        params.work,
-        scale,
-        params.seed,
-    );
+    let s = params.solo(bench, ways);
     println!(
         "{bench} @ {ways} ways (scale 1/{scale}, {work} instr): \
          IPC {:.3}, CPI {:.3}, L2 miss rate {:.1}%, MPI {:.4}, {} cycles",
@@ -269,36 +229,23 @@ fn cmd_solo(flags: &Flags) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_run(flags: &Flags) -> Result<(), Failure> {
-    let workload = match flags.get("workload").map(String::as_str) {
-        Some("mix1") => WorkloadSpec::mix1(),
-        Some("mix2") => WorkloadSpec::mix2(),
-        Some(bench) if spec::benchmark(bench).is_some() => WorkloadSpec::single(bench, 10),
-        Some(other) => return Err(usage_error(&format!("unknown workload `{other}`"))),
-        None => return Err(usage_error("--workload is required")),
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let workload = match args.text("workload").unwrap_or_default() {
+        "mix1" => WorkloadSpec::mix1(),
+        "mix2" => WorkloadSpec::mix2(),
+        bench => WorkloadSpec::single(bench, 10),
     };
-    let configuration = match flags.get("config").map(String::as_str) {
-        Some("all-strict") => Configuration::AllStrict,
-        Some("hybrid1") => Configuration::Hybrid1,
-        Some("hybrid2") => Configuration::Hybrid2 {
+    let configuration = match args.text("config").unwrap_or_default() {
+        "all-strict" => Configuration::AllStrict,
+        "hybrid1" => Configuration::Hybrid1,
+        "hybrid2" => Configuration::Hybrid2 {
             slack: Percent::new(5.0),
         },
-        Some("autodown") => Configuration::AllStrictAutoDown,
-        Some("equalpart") => Configuration::EqualPart,
-        Some(other) => return Err(usage_error(&format!("unknown config `{other}`"))),
-        None => return Err(usage_error("--config is required")),
+        "autodown" => Configuration::AllStrictAutoDown,
+        "equalpart" => Configuration::EqualPart,
+        other => unreachable!("--config `{other}` passed the flag table"),
     };
-    let cfg = RunConfig {
-        workload,
-        configuration,
-        scale: get_num(flags, "scale", 8)?.max(1),
-        work: Instructions::new(get_num(flags, "work", 800_000)?.max(1_000)),
-        seed: get_num(flags, "seed", 1)?,
-        stealing_enabled: true,
-        steal_interval: None,
-        events: flags.get("events").map(std::path::PathBuf::from),
-    };
-    let outcome = run(&cfg);
+    let outcome = run(&ExperimentParams::from_args(args).run_config(workload, configuration));
     println!("{}", outcome.label);
     println!(
         "  accepted {} of {} submissions; makespan {:.2} Mcycles",
@@ -323,22 +270,16 @@ fn cmd_run(flags: &Flags) -> Result<(), Failure> {
             stats.max().unwrap_or(0.0) / 1e6
         );
     }
-    if let Some(path) = flags.get("json") {
+    if let Some(path) = args.text("json") {
         write_json(Path::new(path), &outcome).map_err(|e| e.to_string())?;
         println!("  raw results written to {path}");
     }
     Ok(())
 }
 
-fn cmd_bench(flags: &Flags) -> Result<(), Failure> {
-    let params = experiment_params(flags)?;
-    eprintln!(
-        "benchmarking at scale 1/{}, {} instructions/job, seed {}, {} worker(s)...",
-        params.scale,
-        params.work.get(),
-        params.seed,
-        params.jobs
-    );
+fn cmd_bench(args: &Args) -> Result<(), String> {
+    let params = ExperimentParams::from_args(args);
+    eprintln!("benchmarking at {params}, {} worker(s)...", params.jobs);
     let report = cmpqos::experiments::bench::run(&params);
 
     println!(
@@ -357,12 +298,12 @@ fn cmd_bench(flags: &Flags) -> Result<(), Failure> {
     }
     println!();
     println!(
-        "{:<36} {:>6} {:>12} {:>14}",
+        "{:<36} {:>8} {:>12} {:>14}",
         "component", "iters", "wall (ms)", "ns/iter"
     );
     for c in &report.components {
         println!(
-            "{:<36} {:>6} {:>12.1} {:>14.0}",
+            "{:<36} {:>8} {:>12.1} {:>14.0}",
             c.name, c.iters, c.wall_ms, c.ns_per_iter
         );
     }
@@ -374,60 +315,32 @@ fn cmd_bench(flags: &Flags) -> Result<(), Failure> {
         report.schema_version
     );
 
-    let out = flags
-        .get("out")
-        .map_or_else(|| report.default_filename(), std::path::PathBuf::from);
+    let out = args
+        .path("out")
+        .unwrap_or_else(|| report.default_filename());
     write_json(&out, &report).map_err(|e| e.to_string())?;
     println!("report written to {}", out.display());
     Ok(())
 }
 
-/// Experiment parameters: `CMPQOS_*` environment defaults, overridden by
-/// the command's flags.
-fn experiment_params(flags: &Flags) -> Result<cmpqos::experiments::ExperimentParams, Failure> {
-    let mut params = cmpqos::experiments::ExperimentParams::from_env();
-    params.scale = get_num(flags, "scale", params.scale)?.max(1);
-    params.work = Instructions::new(get_num(flags, "work", params.work.get())?.max(1_000));
-    params.seed = get_num(flags, "seed", params.seed)?;
-    if let Some(v) = flags.get("jobs") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| usage_error(&format!("--jobs expects a number, got `{v}`")))?;
-        params.jobs = if n == 0 {
-            cmpqos::engine::default_jobs()
-        } else {
-            n
-        };
-    }
-    Ok(params)
-}
-
-fn cmd_conform(flags: &Flags) -> Result<(), Failure> {
+fn cmd_conform(args: &Args) -> Result<(), String> {
     use cmpqos::testkit::conform::{self, Inject};
 
-    let params = experiment_params(flags)?;
-    let only: Vec<String> = flags
-        .get("only")
+    let params = ExperimentParams::from_args(args);
+    let only: Vec<String> = args
+        .text("only")
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
         .unwrap_or_default();
-    let inject = match flags.get("inject").map(String::as_str) {
+    let inject = match args.text("inject") {
         None => Inject::None,
         Some("broken-guard") => Inject::BrokenGuard,
         Some("stuck-knob") => Inject::StuckKnob,
         Some("frozen-lease") => Inject::FrozenLease,
         Some("starve-tier") => Inject::StarveTier,
-        Some(other) => {
-            return Err(usage_error(&format!(
-                "unknown --inject `{other}` (expected broken-guard, stuck-knob, \
-                 frozen-lease or starve-tier)"
-            )))
-        }
+        Some(other) => unreachable!("--inject `{other}` passed the flag table"),
     };
     eprintln!(
-        "conformance suite at scale 1/{}, {} instructions/job, seed {}, {} worker(s)...",
-        params.scale,
-        params.work.get(),
-        params.seed,
+        "conformance suite at {params}, {} worker(s)...",
         params.jobs
     );
     let report = conform::run(&params, &only, inject);
@@ -435,22 +348,18 @@ fn cmd_conform(flags: &Flags) -> Result<(), Failure> {
     if report.passed() {
         Ok(())
     } else {
-        Err(Failure::Run("conformance checks failed".into()))
+        Err("conformance checks failed".into())
     }
 }
 
-fn cmd_explore(flags: &Flags) -> Result<(), Failure> {
+fn cmd_explore(args: &Args) -> Result<(), String> {
     use cmpqos::testkit::scenario::{explore, ScenarioKind};
 
-    let scenarios = get_num(flags, "scenarios", 50)?.max(1) as usize;
-    let seed = get_num(flags, "seed", 1)?;
-    let kinds: Vec<ScenarioKind> = match flags.get("kind").map(String::as_str) {
+    let scenarios = args.num("scenarios").map_or(50, |n| n as usize).max(1);
+    let seed = args.num("seed").unwrap_or(1);
+    let kinds: Vec<ScenarioKind> = match args.text("kind") {
         None | Some("all") => ScenarioKind::ALL.to_vec(),
-        Some(k) => vec![ScenarioKind::parse(k).ok_or_else(|| {
-            usage_error(&format!(
-                "unknown --kind `{k}` (expected lac|intake|scheduler|batch|net|adapt|traffic|all)"
-            ))
-        })?],
+        Some(k) => vec![ScenarioKind::parse(k).expect("checked by the flag table")],
     };
     let report = explore(seed, scenarios, &kinds);
     match report.divergence {
@@ -468,25 +377,25 @@ fn cmd_explore(flags: &Flags) -> Result<(), Failure> {
         }
         Some(d) => {
             println!("{}", d.render());
-            Err(Failure::Run("divergence from the reference oracle".into()))
+            Err("divergence from the reference oracle".into())
         }
     }
 }
 
-fn cmd_traffic(flags: &Flags) -> Result<(), Failure> {
+fn cmd_traffic(args: &Args) -> Result<(), String> {
     use cmpqos::experiments::traffic;
     use cmpqos::scenario::{emit_toml, parse_toml, run as run_scenario};
 
-    let params = experiment_params(flags)?;
-    let spec = match flags.get("spec") {
+    let params = ExperimentParams::from_args(args);
+    let spec = match args.text("spec") {
         Some(path) => {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            Some(parse_toml(&text).map_err(|e| Failure::Run(format!("{path}: {e}")))?)
+            Some(parse_toml(&text).map_err(|e| format!("{path}: {e}"))?)
         }
         None => None,
     };
-    if flags.contains_key("emit-toml") {
+    if args.has("emit-toml") {
         // Canonical form: of the loaded spec, or of the grid's base
         // topology when no --spec was given.
         let spec =
@@ -507,22 +416,12 @@ fn cmd_traffic(flags: &Flags) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_recover(flags: &Flags) -> Result<(), Failure> {
+fn cmd_recover(args: &Args) -> Result<(), String> {
     use cmpqos::recovery::{JournaledCluster, JournaledLac, RecoveryReport};
 
-    let path = flags
-        .get("journal")
-        .ok_or(usage_error("--journal is required"))?;
-    let compact_every = get_num(flags, "compact-every", 64)?.max(1);
-    let lac = match flags.get("kind").map_or("gac", String::as_str) {
-        "gac" => false,
-        "lac" => true,
-        other => {
-            return Err(usage_error(&format!(
-                "unknown --kind `{other}` (expected gac|lac)"
-            )))
-        }
-    };
+    let path = args.text("journal").unwrap_or_default();
+    let compact_every = args.num("compact-every").unwrap_or(64).max(1);
+    let lac = args.text("kind") == Some("lac");
     let jsonl = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
 
     let describe = |report: &RecoveryReport| {

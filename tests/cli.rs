@@ -11,13 +11,7 @@ const SUBCOMMANDS: [&str; 8] = [
 /// Runs `cmpqos` with `args` and no `CMPQOS_*` settings inherited.
 fn cmpqos(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cmpqos"));
-    for var in [
-        "CMPQOS_SCALE",
-        "CMPQOS_WORK",
-        "CMPQOS_SEED",
-        "CMPQOS_JOBS",
-        "CMPQOS_EVENTS",
-    ] {
+    for (var, _) in std::env::vars().filter(|(v, _)| v.starts_with("CMPQOS_")) {
         cmd.env_remove(var);
     }
     cmd.args(args).envs(env.iter().copied());

@@ -14,14 +14,10 @@ const K: u64 = 16;
 
 fn quick(workload: WorkloadSpec, configuration: Configuration) -> RunConfig {
     RunConfig {
-        workload,
-        configuration,
         scale: K,
         work: Instructions::new(80_000),
         seed: 3,
-        stealing_enabled: true,
-        steal_interval: None,
-        events: None,
+        ..RunConfig::new(workload, configuration)
     }
 }
 

@@ -435,3 +435,25 @@ fn golden_pin_preempts_a_float_past_an_idle_lower_core() {
     assert_eq!(n.running_on(CoreId::new(0)), Some(JobId::new(4)));
     assert_eq!(finish(n, d, &ids), 0x01c0_c97b_8d6e_545e);
 }
+
+#[test]
+fn repinning_a_pinned_task_releases_its_old_core() {
+    let mut n = node();
+    n.set_l2_targets(&[Ways::new(4); 4]).unwrap();
+    n.spawn(task(0, "gobmk", 40_000, Placement::Pinned(CoreId::new(0))))
+        .unwrap();
+    n.run_until(Cycles::new(20_000));
+    assert_eq!(n.running_on(CoreId::new(0)), Some(JobId::new(0)));
+    n.repin(JobId::new(0), CoreId::new(1)).unwrap();
+    assert_eq!(n.pinned_on(CoreId::new(0)), None);
+    assert_eq!(n.pinned_on(CoreId::new(1)), Some(JobId::new(0)));
+    n.run_until(Cycles::new(40_000));
+    assert_eq!(n.running_on(CoreId::new(1)), Some(JobId::new(0)));
+    n.run_to_completion(Cycles::new(50_000_000));
+    assert!(!n.is_live(JobId::new(0)));
+    assert_eq!(n.pinned_on(CoreId::new(1)), None, "the finished job unpins");
+    // Both cores take new pinned work.
+    let pin = |core| Placement::Pinned(CoreId::new(core));
+    n.spawn(task(1, "namd", 5_000, pin(0))).unwrap();
+    n.spawn(task(2, "namd", 5_000, pin(1))).unwrap();
+}

@@ -131,16 +131,14 @@ fn hybrid2_slack_round_trips_through_the_batch() {
     let cells: Vec<RunConfig> = [2.0, 20.0]
         .into_iter()
         .map(|slack| RunConfig {
-            workload: WorkloadSpec::single("gobmk", 3),
-            configuration: Configuration::Hybrid2 {
-                slack: Percent::new(slack),
-            },
             scale: 16,
             work: Instructions::new(20_000),
-            seed: 1,
-            stealing_enabled: true,
-            steal_interval: None,
-            events: None,
+            ..RunConfig::new(
+                WorkloadSpec::single("gobmk", 3),
+                Configuration::Hybrid2 {
+                    slack: Percent::new(slack),
+                },
+            )
         })
         .collect();
     let outcomes = run_batch(cells, 2);
